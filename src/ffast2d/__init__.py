@@ -13,13 +13,12 @@ from .oracle import (ArraySource, ExponentialSumSource, Instance, KTooLarge,
                      VALUE_UNIT_CIRCLE, add_noise, alias_sum_oracle,
                      dense_dft_2d, gen_instance, instance_snr,
                      synthesize_dense)
-from .frontend import (BinObservation, ShapeMismatch, alias_bin,
-                       alias_support_map, assemble_bins, chain_weights,
+from .frontend import (BinObservation, NonFiniteSample, ShapeMismatch,
+                       alias_bin, alias_support_map, chain_weights,
                        run_frontend, stage_observations, subsample_shifted,
                        support_bin_groups)
 from .peeler import (BinClass, KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
-                     WrongShiftLayout, decode, peel, ratio_estimates,
-                     ratio_test)
+                     WrongShiftLayout, decode, ratio_estimates, ratio_test)
 from .robust import (design_shifts, estimate_noise_variance, robust_classify,
                      robust_decode)
 from .crt import (CrtBasis, DiagonalView, DimsNotCoprime, ResidueOutOfRange,

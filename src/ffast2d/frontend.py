@@ -20,6 +20,10 @@ class ShapeMismatch(FfastError, ValueError):
     """Source grid does not match the plan's grid."""
 
 
+class NonFiniteSample(FfastError, ValueError):
+    """The source returned a NaN or infinite sample."""
+
+
 @dataclass(frozen=True)
 class BinObservation:
     """One bin's per-chain outputs; values[c] belongs to shifts[c]."""
@@ -41,6 +45,9 @@ def subsample_shifted(source, dims: Dims, stage: StageConfig,
     rows = _lattice(s1, stage.sub_x, stage.bins_x, dims.nx)
     cols = _lattice(s2, stage.sub_y, stage.bins_y, dims.ny)
     grid = source.sample_grid(rows, cols)
+    if not np.isfinite(grid).all():
+        raise NonFiniteSample("non-finite sample on the %dx%d lattice at "
+                              "shift %r" % (stage.bins_x, stage.bins_y, shift))
     return np.fft.fft2(grid) / stage.bin_count
 
 
@@ -60,19 +67,6 @@ def run_frontend(plan: FfastPlan, source) -> list[np.ndarray]:
                             % (source.dims, plan.dims))
     return [stage_observations(source, plan.dims, stage)
             for stage in plan.stages]
-
-
-def assemble_bins(spectra, stage: int = 0, shifts=None) -> list[BinObservation]:
-    """Flattens per-shift spectra into bin observations, row-major bin order."""
-    spectra = [np.asarray(s) for s in spectra]
-    shape = spectra[0].shape
-    if any(s.shape != shape for s in spectra):
-        raise ShapeMismatch("per-shift spectra differ in shape")
-    if shifts is None:
-        shifts = ()
-    stack = np.stack(spectra)
-    return [BinObservation(stage, (i, j), stack[:, i, j].copy(), tuple(shifts))
-            for i in range(shape[0]) for j in range(shape[1])]
 
 
 def alias_bin(dims: Dims, stage: StageConfig, u: int, v: int) -> tuple[int, int]:

@@ -1,17 +1,22 @@
-"""Noise-robust chain design and decoding.
+"""Noise-robust chain design and the robust bin classifier.
 
-The noiseless ratio test breaks down once observations carry noise, so
-robust stages use many chains: an anchor plus, per dimension and per bit
-level j, repeated shift pairs (r, r + 2^j) with fresh random offsets r.
-The phase difference of a pair's two observations isolates
-frac(2^j * u / n) for a lone contributor at index u, independent of r, so
-a dyadic unwrapping ladder rebuilds u level by level. Repetitions are
-combined by a median over the per-repetition integer estimates, which
-equals the majority answer whenever a strict majority agrees.
+robust_decode runs the same peeling engine as the noiseless decoder
+(peeler.peel_stacks: same rounds, subtraction and status rules, with
+subtraction one peel at a time for the reason given there); only the
+classifier and the shift design differ. The ratio test breaks down once
+observations carry noise, so robust stages use many chains: an anchor
+plus, per dimension and per bit level j, repeated shift pairs
+(r, r + 2^j) with fresh random offsets r. The phase difference of a
+pair's two observations isolates frac(2^j * u / n) for a lone
+contributor at index u, independent of r, so a dyadic unwrapping ladder
+rebuilds u level by level. Repetitions are combined by a median over the
+per-repetition integer estimates, which equals the majority answer
+whenever a strict majority agrees.
 
 Energy thresholds against the per-bin noise variance sigma2/B replace the
 exact zero test, and the value estimate is least squares across all
-chains rather than the anchor alone.
+chains rather than the anchor alone. At sigma2 = 0 the classifier finds
+the same singletons as the ratio test, so both decoders peel alike.
 """
 
 from __future__ import annotations
@@ -21,12 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Dims, FfastError, FfastPlan, MODE_ROBUST, DecodeReport,
-                   RobustParams, SparseSpectrum, STATUS_NOT_A_SINGLETON_LOOP,
-                   STATUS_RESIDUAL_LEFT, STATUS_SUCCESS, bit_levels,
-                   robust_chain_count)
-from .frontend import BinObservation, chain_weights, run_frontend
-from .peeler import (BinClass, KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
-                     WrongShiftLayout, observation_zero_threshold)
+                   RobustParams, bit_levels, robust_chain_count)
+from .frontend import BinObservation, run_frontend
+from .peeler import (BinClass, WrongShiftLayout, observation_zero_threshold,
+                     peel_stacks)
 
 __all__ = ["RobustParams", "design_shifts", "robust_classify", "robust_decode",
            "estimate_noise_variance"]
@@ -127,6 +130,28 @@ def _estimate_bins(ys: np.ndarray, shifts_arr: np.ndarray, ladders,
     return uu, vv, vals, resid
 
 
+def _robust_scan(cols: np.ndarray, shifts_arr: np.ndarray, ladders,
+                 dims: Dims, params: RobustParams, sigma2: float,
+                 zero_thresh: float):
+    """Energy test, then ladder estimates on the live columns of (C, m) cols."""
+    chains, m = cols.shape
+    floor = chains * zero_thresh ** 2
+    energy = (np.abs(cols) ** 2).sum(axis=0)
+    nonzero = energy > (1 + params.gamma_zero) * chains * sigma2 + floor
+    single = np.zeros(m, dtype=bool)
+    uu = np.zeros(m, dtype=np.int64)
+    vv = np.zeros(m, dtype=np.int64)
+    vals = np.zeros(m, dtype=np.complex128)
+    live = np.flatnonzero(nonzero)
+    if live.size:
+        u, v, val, resid = _estimate_bins(cols[:, live], shifts_arr, ladders,
+                                          dims)
+        single[live] = ((resid <= (1 + params.gamma_single) * chains * sigma2
+                         + floor) & (np.abs(val) > zero_thresh))
+        uu[live], vv[live], vals[live] = u, v, val
+    return nonzero, single, uu, vv, vals
+
+
 def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
                     noise_var: float | None = None,
                     zero_thresh: float | None = None) -> BinClass:
@@ -138,39 +163,10 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
                                % (len(obs.shifts), ys.shape[0]))
     sigma2 = params.noise_var if noise_var is None else noise_var
     if zero_thresh is None:
-        zero_thresh = 1e-9 * (1.0 + float(np.abs(ys).max()))
-    chains = ys.shape[0]
-    floor = chains * zero_thresh ** 2
-    energy = float((np.abs(ys) ** 2).sum())
-    if energy <= (1 + params.gamma_zero) * chains * sigma2 + floor:
-        return BinClass.zero_ton()
+        zero_thresh = observation_zero_threshold([ys])
     shifts_arr = np.asarray(obs.shifts, dtype=np.float64)
-    uu, vv, vals, resid = _estimate_bins(ys, shifts_arr, ladders, dims)
-    if abs(vals[0]) <= zero_thresh:
-        return BinClass.multi_ton()
-    if resid[0] > (1 + params.gamma_single) * chains * sigma2 + floor:
-        return BinClass.multi_ton()
-    return BinClass.singleton((int(uu[0]), int(vv[0])), complex(vals[0]))
-
-
-def _robust_stage_scan(stack, stage, dims, params, sigma2_obs, zero_thresh,
-                       ladders, shifts_arr):
-    """Vectorized pass over one stage: nonzero mask plus verified candidates."""
-    chains = stack.shape[0]
-    floor = chains * zero_thresh ** 2
-    energy = (np.abs(stack) ** 2).sum(axis=0)
-    nonzero = energy > (1 + params.gamma_zero) * chains * sigma2_obs + floor
-    idx = np.argwhere(nonzero)
-    if len(idx) == 0:
-        return nonzero, []
-    ys = stack[:, nonzero]
-    uu, vv, vals, resid = _estimate_bins(ys, shifts_arr, ladders, dims)
-    ok = (resid <= (1 + params.gamma_single) * chains * sigma2_obs + floor)
-    ok &= np.abs(vals) > zero_thresh
-    ok &= (uu % stage.bins_x == idx[:, 0]) & (vv % stage.bins_y == idx[:, 1])
-    cands = [(int(i), int(j), int(u), int(v))
-             for (i, j), u, v, good in zip(idx, uu, vv, ok) if good]
-    return nonzero, cands
+    return BinClass.from_scan(_robust_scan(ys, shifts_arr, ladders, dims,
+                                           params, sigma2, zero_thresh))
 
 
 def robust_decode(source, plan: FfastPlan, params: RobustParams | None = None,
@@ -194,70 +190,12 @@ def robust_decode(source, plan: FfastPlan, params: RobustParams | None = None,
     touched = source.access_count - before
     zero_thresh = observation_zero_threshold(stacks)
 
-    def scan(si):
-        return _robust_stage_scan(stacks[si], plan.stages[si], dims, params,
-                                  sigma2_obs[si], zero_thresh, ladders[si],
-                                  shift_arrs[si])
+    def classify(si, cols):
+        return _robust_scan(cols, shift_arrs[si], ladders[si], dims, params,
+                            sigma2_obs[si], zero_thresh)
 
-    bin_stats = []
-    for si, stage in enumerate(plan.stages):
-        nonzero, cands = scan(si)
-        live = int(nonzero.sum())
-        bin_stats.append({KIND_ZERO_TON: int(nonzero.size - live),
-                          KIND_SINGLETON: len(cands),
-                          KIND_MULTI_TON: live - len(cands)})
-
-    if max_rounds is None:
-        max_rounds = sum(plan.bin_counts) + len(plan.stages)
-    recovered: dict[tuple[int, int], complex] = {}
-    events = 0
-    rounds = 0
-    deadlock = False
-    prev_live = float("inf")
-    while rounds < max_rounds:
-        rounds += 1
-        progressed = False
-        for si, stage in enumerate(plan.stages):
-            _, cands = scan(si)
-            for i, j, _, _ in cands:
-                obs = BinObservation(si, (i, j), stacks[si][:, i, j].copy(),
-                                     stage.shifts)
-                cls = robust_classify(obs, dims, params,
-                                      noise_var=sigma2_obs[si],
-                                      zero_thresh=zero_thresh)
-                if cls.kind != KIND_SINGLETON:
-                    continue
-                u, v = cls.location
-                if (u % stage.bins_x, v % stage.bins_y) != (i, j):
-                    continue
-                recovered[(u, v)] = recovered.get((u, v), 0j) + cls.value
-                events += 1
-                progressed = True
-                if trace is not None:
-                    trace({"round": rounds, "stage": si, "bin": (i, j),
-                           "location": (u, v), "value": cls.value})
-                for t, st in enumerate(plan.stages):
-                    bi, bj = u % st.bins_x, v % st.bins_y
-                    stacks[t][:, bi, bj] -= cls.value * chain_weights(dims, st, u, v)
-        # a real peel quiets the bin it was detected in; a round that fails
-        # to shrink the live-bin count is noise-driven churn, not progress
-        live = sum(int(scan(si)[0].sum()) for si in range(len(plan.stages)))
-        if not progressed or live >= prev_live:
-            deadlock = True
-            break
-        prev_live = live
-
-    residual = any(scan(si)[0].any() for si in range(len(plan.stages)))
-    cut = max(min_magnitude, zero_thresh)
-    entries = {loc: val for loc, val in recovered.items() if abs(val) > cut}
-    if not residual and len(entries) == events:
-        status = STATUS_SUCCESS
-    elif deadlock and residual:
-        status = STATUS_NOT_A_SINGLETON_LOOP
-    else:
-        status = STATUS_RESIDUAL_LEFT
-    return DecodeReport(SparseSpectrum.from_entries(dims, entries),
-                        touched, rounds, status, bin_stats)
+    return peel_stacks(stacks, plan, classify, touched, max_rounds,
+                       max(min_magnitude, zero_thresh), trace)
 
 
 def estimate_noise_variance(source, plan: FfastPlan) -> float:

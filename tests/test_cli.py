@@ -154,6 +154,20 @@ def test_decode_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_decode_rejects_non_finite_signal(tmp_path, capsys):
+    sig_path = str(tmp_path / "sig.bin")
+    assert main(["gen", "--nx", "6", "--ny", "6",
+                 "--entries", WORKED_ENTRIES,
+                 "--out-truth", str(tmp_path / "truth.csv"),
+                 "--out-signal", sig_path]) == 0
+    x = read_signal_bin(sig_path)
+    x[0, 0] = np.nan
+    write_signal_bin(sig_path, x)
+    plan_path = _write_plan(tmp_path)
+    assert main(["decode", "--plan", plan_path, "--signal", sig_path]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_decode_needs_an_input(tmp_path, capsys):
     plan_path = _write_plan(tmp_path)
     assert main(["decode", "--plan", plan_path]) == 1

@@ -3,9 +3,8 @@ import pytest
 
 from ffast2d.core import Dims, SparseSpectrum, StageConfig, build_plan
 from ffast2d.frontend import (ShapeMismatch, alias_bin, alias_support_map,
-                              assemble_bins, chain_weights, run_frontend,
-                              stage_observations, subsample_shifted,
-                              support_bin_groups)
+                              chain_weights, run_frontend, stage_observations,
+                              subsample_shifted, support_bin_groups)
 from ffast2d.oracle import (ArraySource, ExponentialSumSource,
                             alias_sum_oracle, dense_dft_2d, gen_instance,
                             synthesize_dense)
@@ -109,27 +108,19 @@ def test_run_frontend_rejects_wrong_grid():
         run_frontend(plan, other.source)
 
 
-def test_assemble_bins_row_major_and_worked_values():
+def test_run_frontend_worked_bin_values():
     plan = build_plan(Dims(6, 6), [9, 4])
     src, _ = _worked_source()
-    stacks = run_frontend(plan, src)
-    bins = assemble_bins(list(stacks[0]), stage=0, shifts=plan.stages[0].shifts)
-    assert [b.bin for b in bins] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(b.stage == 0 for b in bins)
-    assert all(b.shifts == ((0, 0), (1, 0), (0, 1)) for b in bins)
+    stack = run_frontend(plan, src)[0]
+    assert plan.stages[0].shifts == ((0, 0), (1, 0), (0, 1))
     # multiton bin (0, 0): coefficients (2, 0) and (4, 0)
-    assert np.allclose(bins[0].values,
+    assert np.allclose(stack[:, 0, 0],
                        [4.0, -2.0 + 1j * np.sqrt(3.0), 4.0], atol=1e-9)
     # singleton bin (0, 1): coefficient (2, 3) of value 5
-    assert np.allclose(bins[1].values,
+    assert np.allclose(stack[:, 0, 1],
                        [5.0, -2.5 + 4.330127018922193j, -5.0], atol=1e-9)
     # zero-ton bin (1, 0)
-    assert np.max(np.abs(bins[2].values)) < 1e-9
-
-
-def test_assemble_bins_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        assemble_bins([np.zeros((2, 2)), np.zeros((3, 2))])
+    assert np.max(np.abs(stack[:, 1, 0])) < 1e-9
 
 
 def test_alias_support_map_weights():

@@ -4,10 +4,11 @@ import pytest
 from ffast2d.core import (Dims, FfastError, SparseSpectrum, build_plan,
                           noiseless_shifts, plan_sample_budget,
                           STATUS_RESIDUAL_LEFT, STATUS_SUCCESS)
-from ffast2d.frontend import BinObservation, assemble_bins, chain_weights, run_frontend
-from ffast2d.oracle import ExponentialSumSource, gen_instance
+from ffast2d.frontend import BinObservation, NonFiniteSample, chain_weights
+from ffast2d.oracle import (ArraySource, ExponentialSumSource, gen_instance,
+                            synthesize_dense)
 from ffast2d.peeler import (BinClass, KIND_MULTI_TON, KIND_SINGLETON,
-                            KIND_ZERO_TON, WrongShiftLayout, decode, peel,
+                            KIND_ZERO_TON, WrongShiftLayout, decode,
                             ratio_estimates, ratio_test)
 
 WORKED_6X6 = {(1, 3): 7.0, (2, 0): 3.0, (2, 3): 5.0, (4, 0): 1.0}
@@ -130,28 +131,6 @@ def test_peel_trace_rounds_non_decreasing():
         assert (u % stage.bins_x, v % stage.bins_y) == e["bin"]
 
 
-def test_peel_from_assembled_bins_matches_decode():
-    plan, truth, src = _worked_plan_and_source()
-    stacks = run_frontend(plan, src)
-    bins = []
-    for si, stack in enumerate(stacks):
-        bins.extend(assemble_bins(list(stack), stage=si,
-                                  shifts=plan.stages[si].shifts))
-    report = peel(bins, plan, samples_touched=39)
-    assert report.status == STATUS_SUCCESS
-    assert report.spectrum.items() == truth.items()
-    assert report.samples_touched == 39
-
-
-def test_peel_missing_bins_rejected():
-    plan, _, src = _worked_plan_and_source()
-    stacks = run_frontend(plan, src)
-    only_stage0 = assemble_bins(list(stacks[0]), stage=0,
-                                shifts=plan.stages[0].shifts)
-    with pytest.raises(ValueError):
-        peel(only_stage0, plan)
-
-
 def test_peel_round_budget_cuts_off():
     # two-hop dependency: stage 0 pairs {A,B} and {C,D}, stage 1 pairs {B,C}
     # with A and D alone, so stage 0 resolves only after round 1 completes
@@ -230,3 +209,32 @@ def test_success_implies_consistency_via_trace():
     got = dict(report.spectrum.items())
     for loc, val in got.items():
         assert abs(total[loc] - val) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_decode_rejects_non_finite_sample(bad):
+    # one bad cell on the anchor lattice used to peel into made-up
+    # coefficients instead of failing
+    plan = build_plan(Dims(30, 30), [4, 9, 25])
+    x = synthesize_dense(gen_instance(Dims(30, 30), 10, seed=3).truth)
+    x[0, 0] = bad
+    with pytest.raises(NonFiniteSample):
+        decode(ArraySource(x), plan)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decode_is_scale_equivariant(seed):
+    dims = Dims(30, 30)
+    plan = build_plan(dims, [4, 9, 25])
+    truth = gen_instance(dims, 10, seed=40 + seed).truth
+    base = decode(ExponentialSumSource(truth), plan)
+    assert base.status == STATUS_SUCCESS
+    want = dict(base.spectrum.items())
+    for c in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        scaled = SparseSpectrum.from_entries(
+            dims, {loc: c * val for loc, val in truth.items()})
+        report = decode(ExponentialSumSource(scaled), plan)
+        got = dict(report.spectrum.items())
+        assert report.status == base.status, c
+        assert set(got) == set(want), c
+        assert all(abs(got[loc] - c * want[loc]) <= 1e-9 * c for loc in want), c

@@ -3,8 +3,9 @@ import pytest
 
 from ffast2d.core import (Constellation, Dims, RobustParams, SparseSpectrum,
                           build_plan, robust_chain_count, STATUS_SUCCESS)
-from ffast2d.frontend import BinObservation
-from ffast2d.oracle import (ExponentialSumSource, add_noise, gen_instance)
+from ffast2d.frontend import BinObservation, NonFiniteSample
+from ffast2d.oracle import (ArraySource, ExponentialSumSource, add_noise,
+                            gen_instance, synthesize_dense)
 from ffast2d.peeler import (KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
                             WrongShiftLayout, decode, ratio_test)
 from ffast2d.robust import (design_shifts, estimate_noise_variance,
@@ -212,6 +213,54 @@ def test_robust_decode_zero_noise_matches_noiseless_decoder():
         ga, gb = dict(a.spectrum.items()), dict(b.spectrum.items())
         assert set(ga) == set(gb)
         assert all(abs(ga[loc] - gb[loc]) <= 1e-9 for loc in ga)
+
+
+def test_robust_decode_shares_the_noiseless_trajectory():
+    # at sigma = 0 both decoders run the same loop with equivalent
+    # classifiers, so they peel the same bins in the same order
+    robust_plan = build_plan(
+        Dims(60, 60), [16, 9, 25], regime="very-sparse", mode="robust",
+        robust_params=RobustParams(chains_per_dim=1, reps=1, noise_var=0.0,
+                                   seed=3))
+    plain_plan = build_plan(Dims(60, 60), [16, 9, 25], regime="very-sparse")
+    for seed in range(30):
+        source = gen_instance(Dims(60, 60), 12, seed=7000 + seed).source
+        runs = []
+        for run, plan in ((robust_decode, robust_plan), (decode, plain_plan)):
+            events = []
+            report = run(source, plan, trace=events.append)
+            cut = run(source, plan, max_rounds=1)
+            runs.append(([(e["round"], e["stage"], e["bin"], e["location"])
+                          for e in events], report.peel_iterations,
+                         report.bin_stats, cut.status,
+                         set(dict(cut.spectrum.items()))))
+        assert runs[0] == runs[1], seed
+
+
+def test_robust_decode_rejects_non_finite_sample():
+    plan, _ = _robust_plan_60(sigma2=0.0)
+    x = synthesize_dense(gen_instance(Dims(60, 60), 8, seed=2).truth)
+    x[0, 0] = np.nan
+    with pytest.raises(NonFiniteSample):
+        robust_decode(ArraySource(x), plan)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_robust_decode_is_scale_equivariant(seed):
+    plan, _ = _robust_plan_60(sigma2=0.0)
+    dims = Dims(60, 60)
+    truth = gen_instance(dims, 10, seed=60 + seed).truth
+    base = robust_decode(ExponentialSumSource(truth), plan)
+    assert base.status == STATUS_SUCCESS
+    want = dict(base.spectrum.items())
+    for c in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        scaled = SparseSpectrum.from_entries(
+            dims, {loc: c * val for loc, val in truth.items()})
+        report = robust_decode(ExponentialSumSource(scaled), plan)
+        got = dict(report.spectrum.items())
+        assert report.status == base.status, c
+        assert set(got) == set(want), c
+        assert all(abs(got[loc] - c * want[loc]) <= 1e-9 * c for loc in want), c
 
 
 def test_robust_decode_requires_robust_plan():
