@@ -198,8 +198,8 @@ class NoisySource(SignalSource):
         clean = self.inner.sample_grid(rows, cols)
         if self.sigma2 == 0:
             return clean
-        flat = self._flat(np.repeat(rows, len(cols)), np.tile(cols, len(rows)))
-        return clean + _noise_at(self.seed, flat, self.sigma2).reshape(clean.shape)
+        flat = self._flat(rows[:, None], cols[None, :])
+        return clean + _noise_at(self.seed, flat, self.sigma2)
 
     def _points(self, aa, bb):
         clean = self.inner.sample_points(aa, bb)

@@ -1,15 +1,19 @@
 """Noise-robust chain design and the robust bin classifier.
 
-robust_decode runs the same peeling engine as the noiseless decoder
-(peeler.peel_stacks: same rounds, subtraction and status rules, with
-subtraction one peel at a time for the reason given there); only the
-classifier and the shift design differ. The ratio test breaks down once
-observations carry noise, so robust stages use many chains: an anchor
-plus, per dimension and per bit level j, repeated shift pairs
-(r, r + 2^j) with fresh random offsets r. The phase difference of a
-pair's two observations isolates frac(2^j * u / n) for a lone
-contributor at index u, independent of r, so a dyadic unwrapping ladder
-rebuilds u level by level. Repetitions are combined by a median over the
+robust_decode runs the same worklist peeling engine as the noiseless
+decoder (peeler.peel_stacks: same rounds, batched subtraction and status
+rules); only the classifier and the shift design differ. The engine
+hands the classifier only the bins a subtraction has touched since it
+last read the stage. Each live column costs a ladder decode over many
+chains, so this classifier stays vectorized across the columns it is
+given, where the noiseless one is a scalar loop.
+
+The ratio test breaks down once observations carry noise, so robust
+stages use many chains: an anchor plus, per dimension and per bit level
+j, repeated shift pairs (r, r + 2^j) with fresh random offsets r. The
+phase difference of a pair's two observations isolates frac(2^j * u / n)
+for a lone contributor at index u, independent of r, so a dyadic
+unwrapping ladder rebuilds u level by level. Repetitions are combined by a median over the
 per-repetition integer estimates, which equals the majority answer
 whenever a strict majority agrees.
 

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from ffast2d import peeler
 from ffast2d.core import (Dims, FfastError, SparseSpectrum, build_plan,
                           noiseless_shifts, plan_sample_budget,
                           STATUS_RESIDUAL_LEFT, STATUS_SUCCESS)
 from ffast2d.frontend import BinObservation, NonFiniteSample, chain_weights
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, gen_instance,
                             synthesize_dense)
-from ffast2d.peeler import (BinClass, KIND_MULTI_TON, KIND_SINGLETON,
-                            KIND_ZERO_TON, WrongShiftLayout, decode,
-                            ratio_estimates, ratio_test)
+from ffast2d.peeler import (BinClass, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL,
+                            KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
+                            WrongShiftLayout, decode, ratio_estimates,
+                            ratio_test)
 
 WORKED_6X6 = {(1, 3): 7.0, (2, 0): 3.0, (2, 3): 5.0, (4, 0): 1.0}
 
@@ -81,7 +83,8 @@ def test_ratio_test_rejects_wrong_layout():
         ratio_test(short, dims)
 
 
-@pytest.mark.parametrize("nx,ny", [(12, 18), (36, 35), (5, 31)])
+@pytest.mark.parametrize("nx,ny", [(12, 18), (36, 35), (5, 31), (1, 31),
+                                   (31, 1)])
 def test_ratio_test_recovers_every_location(nx, ny):
     dims = Dims(nx, ny)
     shifts = noiseless_shifts(dims)
@@ -95,6 +98,82 @@ def test_ratio_test_recovers_every_location(nx, ny):
             assert got.kind == KIND_SINGLETON
             assert got.location == (u, v)
             assert abs(got.value - val) < 1e-9
+
+
+@pytest.mark.parametrize("nx,factors,k,seed",
+                         [(60, [16, 9, 25], 60, seed) for seed in range(3)]
+                         + [(280, [25, 64, 49], 3821, 0)])
+def test_peel_reclassifies_only_touched_bins(monkeypatch, nx, factors, k, seed):
+    # a worklist peeler classifies every bin once, then re-classifies a bin
+    # only after a peel lands in it: at most one column per stage per peel
+    columns = []
+    scan = peeler._ratio_scan
+
+    def counting_scan(cols, *args):
+        columns.append(cols.shape[1])
+        return scan(cols, *args)
+
+    monkeypatch.setattr(peeler, "_ratio_scan", counting_scan)
+    dims = Dims(nx, nx)
+    plan = build_plan(dims, factors, "less-sparse")
+    events = []
+    decode(gen_instance(dims, k, seed=seed).source, plan, trace=events.append)
+    assert events
+    bound = sum(plan.bin_counts) + len(plan.stages) * len(events)
+    assert sum(columns) <= bound
+
+
+def _vectorized_ratio_scan(cols, dims, tol_angle, tol_residual, zero_thresh):
+    # reference: the same ratio test as whole-array numpy expressions
+    anchor = cols[0]
+    mag = np.abs(anchor)
+    nonzero = np.abs(cols).max(axis=0) > zero_thresh
+    n = np.array([d for d in (dims.nx, dims.ny) if d > 1]).reshape(-1, 1)
+    ratio = cols[1:] * np.conj(anchor)
+    est = np.arctan2(ratio.imag, ratio.real) * n / (2 * np.pi) % n
+    snapped = np.rint(est)
+    locs = snapped.astype(np.int64) % n
+    w = np.exp(2j * np.pi * (locs / n))
+    single = (nonzero & (mag > zero_thresh)
+              & (np.abs(est - snapped) <= tol_angle).all(axis=0)
+              & (np.abs(cols[1:] - anchor * w) <= tol_residual * mag).all(axis=0))
+    return nonzero, single, locs[0], locs[-1]
+
+
+@pytest.mark.parametrize("nx,ny", [(12, 18), (1, 31), (31, 1)])
+def test_ratio_scan_matches_vectorized_reference(nx, ny):
+    dims = Dims(nx, ny)
+    stage = _stage(dims)
+    rng = np.random.default_rng(nx + 100 * ny)
+    cols = []
+    for _ in range(400):
+        kind = rng.integers(5)
+        u, v = int(rng.integers(nx)), int(rng.integers(ny))
+        val = complex(rng.normal(), rng.normal())
+        col = val * chain_weights(dims, stage, u, v)
+        if kind == 1:      # collision
+            col = col + complex(rng.normal(), rng.normal()) * chain_weights(
+                dims, stage, int(rng.integers(nx)), int(rng.integers(ny)))
+        elif kind == 2:    # empty, or a residue at the zero floor
+            col = col * rng.choice([0.0, 1e-10, 1e-9])
+        elif kind == 3:    # perturbed around the residual tolerance
+            col = col + rng.choice([1e-7, 1e-6, 1e-5]) * rng.normal(size=col.size)
+        elif kind == 4:    # anchor drowned, other chains live
+            col[0] = 0.0
+        cols.append(col)
+    cols = np.array(cols).T
+    nonzero, single, uu, vv, vals = peeler._ratio_scan(
+        cols, dims, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL, 1e-9)
+    ref_nonzero, ref_single, ref_u, ref_v = _vectorized_ratio_scan(
+        cols, dims, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL, 1e-9)
+    assert np.array_equal(nonzero, ref_nonzero)
+    assert np.array_equal(single, ref_single)
+    assert single.any() and (nonzero & ~single).any() and (~nonzero).any()
+    if nx > 1:
+        assert np.array_equal(uu[single], ref_u[single])
+    if ny > 1:
+        assert np.array_equal(vv[single], ref_v[single])
+    assert np.array_equal(vals, cols[0])
 
 
 def _worked_plan_and_source():
