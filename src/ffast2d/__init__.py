@@ -14,9 +14,8 @@ from .oracle import (ArraySource, ExponentialSumSource, Instance, KTooLarge,
                      dense_dft_2d, gen_instance, instance_snr,
                      synthesize_dense)
 from .frontend import (BinObservation, NonFiniteSample, ShapeMismatch,
-                       alias_bin, alias_support_map, chain_weights,
-                       run_frontend, stage_observations, subsample_shifted,
-                       support_bin_groups)
+                       alias_bin, chain_weights, run_frontend,
+                       stage_observations)
 from .peeler import (BinClass, KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
                      WrongShiftLayout, decode, ratio_estimates, ratio_test)
 from .robust import (design_shifts, estimate_noise_variance, robust_classify,

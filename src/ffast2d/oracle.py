@@ -6,7 +6,9 @@ directly from exponent matrices, independent of any FFT routine.
 
 Signal sources expose the sampling contract used by the front end: every
 read goes through sample / sample_grid / sample_points and bumps an access
-counter, so decoders can prove how many samples they touched. The sparse
+counter, so decoders can prove how many samples they touched. A grid read
+is charged every cell it returns, repeats included, but evaluates each
+distinct row and column only once. The sparse
 exponential-sum source evaluates Eq-style synthesis
 x[a][b] = sum_t X_t e^{+2j*pi*(a*u_t/nx + b*v_t/ny)} lazily in O(k) per
 sample, which keeps grids like 2520x2520 virtual.
@@ -34,7 +36,9 @@ class SignalSource:
 
     Subclasses implement _value (one sample) and may override _grid /
     _points with vectorized versions. The public accessors bump
-    access_count by exactly the number of samples served.
+    access_count by exactly the number of samples served. _grid only ever
+    sees distinct rows and distinct columns: sample_grid evaluates the
+    distinct ones and gathers the repeats back.
     """
 
     def __init__(self, dims: Dims):
@@ -60,11 +64,22 @@ class SignalSource:
         return self._value(a % self.dims.nx, b % self.dims.ny)
 
     def sample_grid(self, rows, cols) -> np.ndarray:
-        """Samples the cartesian product rows x cols (one call per cell)."""
+        """Samples the cartesian product rows x cols, shape (rows, cols).
+
+        Charges len(rows) * len(cols) samples. Each distinct row and column
+        is evaluated once, in first-seen order; repeated ones are copied.
+        """
         rows = np.asarray(rows, dtype=np.int64) % self.dims.nx
         cols = np.asarray(cols, dtype=np.int64) % self.dims.ny
         self.access_count += len(rows) * len(cols)
-        return self._grid(rows, cols)
+        rows, row_at = _first_seen(rows, self.dims.nx)
+        cols, col_at = _first_seen(cols, self.dims.ny)
+        grid = self._grid(rows, cols)
+        if row_at is not None:
+            grid = grid[row_at]
+        if col_at is not None:
+            grid = grid[:, col_at]
+        return grid
 
     def sample_points(self, aa, bb) -> np.ndarray:
         """Samples paired coordinates (aa[i], bb[i])."""
@@ -74,6 +89,23 @@ class SignalSource:
             raise ValueError("paired index arrays differ in shape")
         self.access_count += len(aa)
         return self._points(aa, bb)
+
+
+def _first_seen(idx: np.ndarray, n: int):
+    """idx's distinct values in first-seen order, and where idx reads them.
+
+    The second item is None when idx has no repeats, which a mask over
+    range(n) tells without sorting.
+    """
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    if np.count_nonzero(seen) == len(idx):
+        return idx, None
+    _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return idx[first[order]], rank[inverse]
 
 
 class ArraySource(SignalSource):
@@ -96,22 +128,30 @@ class ArraySource(SignalSource):
         return self._signal[aa, bb].copy()
 
 
-def _is_progression(idx: np.ndarray, n: int) -> bool:
-    """True when idx == (idx[0] + (n // len) * arange(len)) % n."""
-    m = len(idx)
-    if m == 0 or n % m:
-        return False
-    step = n // m
-    ref = (idx[0] + step * np.arange(m, dtype=np.int64)) % n
-    return bool(np.array_equal(idx, ref))
+def _progression_length(idx: np.ndarray, n: int) -> int:
+    """Run length m when idx is full progressions back to back, else 0.
+
+    Each run is (a + (n // m) * arange(m)) % n for its own start a.
+    """
+    if len(idx) < 2:
+        return len(idx)
+    step = int(idx[1] - idx[0]) % n
+    if step == 0 or n % step or len(idx) % (n // step):
+        return 0
+    m = n // step
+    runs = idx.reshape(-1, m)
+    if not np.array_equal(runs, (runs[:, :1] + step * np.arange(m)) % n):
+        return 0
+    return m
 
 
 class ExponentialSumSource(SignalSource):
     """Lazy synthesis from a sparse coefficient set, O(k) per sample.
 
     sample_grid has a fast path for the subsampling patterns the front end
-    produces (full arithmetic progressions in both axes): the coefficients
-    are folded into the aliased bin grid and one small inverse FFT
+    produces (full arithmetic progressions, several back to back, in both
+    axes): for each pair of row and column progressions the coefficients
+    are folded into the aliased bin grid, and one batched inverse FFT
     reproduces exactly the requested spatial samples.
     """
 
@@ -133,13 +173,22 @@ class ExponentialSumSource(SignalSource):
 
     def _grid(self, rows, cols):
         nx, ny = self.dims.nx, self.dims.ny
-        if _is_progression(rows, nx) and _is_progression(cols, ny):
-            bx, by = len(rows), len(cols)
-            folded = np.zeros((bx, by), dtype=np.complex128)
+        bx, by = _progression_length(rows, nx), _progression_length(cols, ny)
+        if bx and by:
+            r0 = rows[::bx, None, None]
+            c0 = cols[None, ::by, None]
             w = self._vals * np.exp(2j * np.pi * (
-                int(rows[0]) * self._u / nx + int(cols[0]) * self._v / ny))
-            np.add.at(folded, (self._u % bx, self._v % by), w)
-            return np.fft.ifft2(folded) * (bx * by)
+                r0 * self._u / nx + c0 * self._v / ny))
+            # fold every (row run, column run) pair with one flat bincount
+            runs = w.shape[0] * w.shape[1]
+            cell = (self._u % bx) * by + self._v % by
+            flat = (np.arange(runs)[:, None] * (bx * by) + cell).ravel()
+            folded = np.empty(runs * bx * by, dtype=np.complex128)
+            folded.real = np.bincount(flat, w.real.ravel(), len(folded))
+            folded.imag = np.bincount(flat, w.imag.ravel(), len(folded))
+            folded = folded.reshape(w.shape[0], w.shape[1], bx, by)
+            grid = np.fft.ifft2(folded) * (bx * by)
+            return grid.transpose(0, 2, 1, 3).reshape(len(rows), len(cols))
         er = np.exp(2j * np.pi * np.outer(rows, self._u) / nx)
         ec = np.exp(2j * np.pi * np.outer(cols, self._v) / ny)
         return er @ (self._vals[:, None] * ec.T)
@@ -172,7 +221,9 @@ class NoisySource(SignalSource):
     """Wraps a source and adds i.i.d. complex gaussian noise per cell.
 
     The noise is a pure function of (seed, a, b): re-reading a cell returns
-    the identical value, with no per-cell state kept anywhere.
+    the identical value, with no per-cell state kept anywhere. Reads go
+    through sample_grid, so a grid read charges the inner source, and
+    draws noise, for its distinct cells only.
     """
 
     def __init__(self, inner: SignalSource, sigma2: float, seed: int):

@@ -137,6 +137,54 @@ def test_expsum_points_matches_dense():
     assert src.access_count == 4
 
 
+def _lattice(start, step, count, n):
+    return (start + step * np.arange(count)) % n
+
+
+# 24x18 reads: lattices back to back, a rotated copy of a lattice (same
+# cells, other order), exact repeats and a scattered index list
+REPEATED_READS = [
+    (np.concatenate([_lattice(0, 3, 8, 24), _lattice(1, 3, 8, 24),
+                     _lattice(3, 3, 8, 24)]), _lattice(5, 6, 3, 18)),
+    (_lattice(2, 3, 8, 24), np.concatenate([_lattice(0, 6, 3, 18),
+                                            _lattice(5, 6, 3, 18),
+                                            _lattice(0, 6, 3, 18)])),
+    (np.concatenate([_lattice(1, 12, 2, 24)] * 3),
+     np.concatenate([_lattice(4, 9, 2, 18), _lattice(13, 9, 2, 18)])),
+    (np.array([2, 7, 2, 2, 30, 11]), np.array([3, 3, 17, -1, 0])),
+]
+
+
+@pytest.mark.parametrize("rows,cols", REPEATED_READS)
+def test_sample_grid_with_repeats_matches_separate_reads(rows, cols):
+    dims = Dims(24, 18)
+    truth = _random_spectrum(dims, 15, np.random.default_rng(14))
+    dense = synthesize_dense(truth)
+    want = dense[np.ix_(rows % 24, cols % 18)]
+    charge = len(rows) * len(cols)
+
+    arr = ArraySource(dense)
+    assert np.array_equal(arr.sample_grid(rows, cols), want)
+    assert arr.access_count == charge
+
+    src = ExponentialSumSource(truth)
+    assert np.max(np.abs(src.sample_grid(rows, cols) - want)) < 1e-10
+    assert src.access_count == charge
+
+    # noise is a pure function of the cell: a read with repeats is
+    # bit-identical to one read per cell, and the inner source is charged
+    # the distinct cells only
+    inner = ArraySource(dense)
+    noisy = NoisySource(inner, sigma2=0.5, seed=9)
+    got = noisy.sample_grid(rows, cols)
+    assert noisy.access_count == charge
+    distinct = len(set(rows % 24)) * len(set(cols % 18))
+    assert inner.access_count == distinct
+    cells = np.array([[noisy.sample(int(a), int(b)) for b in cols]
+                      for a in rows])
+    assert np.array_equal(got, cells)
+
+
 def test_array_source_access_accounting():
     src = ArraySource(np.ones((4, 5)))
     src.sample(0, 0)
