@@ -190,6 +190,11 @@ class FfastPlan:
                 raise NoValidSplit(
                     "stage periods (%d, %d) do not tile dims (%d, %d)"
                     % (s.sub_x, s.sub_y, dims.nx, dims.ny))
+            # so that the noiseless chains sit on distinct lattices
+            if (dims.nx > 1 and s.sub_x == 1) or (dims.ny > 1 and s.sub_y == 1):
+                raise NoValidSplit(
+                    "stage periods (%d, %d) leave a dimension of (%d, %d) "
+                    "unsubsampled" % (s.sub_x, s.sub_y, dims.nx, dims.ny))
             self._check_shifts(s)
         self._check_factor_structure()
 

@@ -1,27 +1,35 @@
 """Subsampling front end: shifted decimation plus small dense DFTs.
 
 Each stage samples the signal on a coarse lattice, shifted by each of the
-stage's offsets, and takes a small 2D FFT of every shifted grid. With the
-1/B normalization used here the resulting bin arrays obey the aliasing
-identity: bin (i, j) holds the shift-weighted sum of all coefficients
-X[u][v] with u = i (mod bins_x) and v = j (mod bins_y).
+stage's offsets (its delay chains), and takes small 2D FFTs. With the 1/B
+normalization used here the bin arrays obey the aliasing identity: bin
+(i, j) of chain (s1, s2) holds the sum of X[u][v] *
+exp(2j*pi*(u*s1/nx + v*s2/ny)) over the coefficients with u = i
+(mod bins_x) and v = j (mod bins_y).
+
+A stage's stack holds one plane per distinct lattice, not one per chain.
+Chains whose offsets agree modulo the stage periods read the same cells,
+cyclically rotated, so such a chain's spectrum is the plane of the
+lattice's first chain times a phase ramp (StageLattices). Noiseless
+chains always sit on distinct lattices; the robust design's 181 chains
+per stage sit on 9 to 15.
 
 A stage is gathered in a few grid reads, not one per chain. Chains that
 share a column offset read their row lattices back to back against that
 one column lattice; the chains left alone are grouped by row offset.
 Both the noiseless layout [(0,0), (1,0), (0,1)] and the robust dyadic
 layout, whose offsets all lie on one axis, take two reads per stage.
-A source evaluates each distinct row and column of a read once, so the
-robust chains that repeat a lattice cost one evaluation, not one each.
+A read charges every chain's cells, so sample accounting counts chains,
+but a source evaluates each distinct row and column of a read once.
 
-The (chains, bins_x, bins_y) stack then takes one batched FFT, written in
-place: the stack is the largest array of a decode, and a second copy of
-it for the FFT output would set the decode's peak memory.
+Only each lattice's first chain is kept from the reads. The
+(lattices, bins_x, bins_y) stack then takes one batched FFT, in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,42 +54,101 @@ class BinObservation:
     shifts: tuple[tuple[int, int], ...]
 
 
-def _read_groups(shifts):
-    """Chains that share one lattice offset, as (by_column, chain indices).
+@dataclass(frozen=True)
+class StageLattices:
+    """How a stage's chains sit on its distinct sampling lattices.
 
-    Chains with a common column offset form one group; the chains left
-    alone are grouped by row offset.
+    A chain with shift (s1, s2) reads the lattice keyed by
+    (s1 mod sub_x, s2 mod sub_y); lattices are numbered in first-seen
+    chain order, so lattice 0 holds the anchor. Chain c reads lattice
+    inv[c] rotated by dq[c] = (dq_x, dq_y) lattice steps from that
+    lattice's first chain, so its bin (i, j) is plane inv[c] times
+    exp(2j*pi*(dq_x*i/bins_x + dq_y*j/bins_y)). sizes[g] counts the chains
+    on lattice g and lead[g] is the shift of its first chain.
+
+    Each entry of reads is one grid read, (rows, cols, by_column, keep,
+    planes): the read's arguments, whether its chains run along rows
+    (by_column) or along columns, the positions in the read of the chains
+    kept as planes, and the planes they fill.
     """
+
+    inv: np.ndarray
+    dq: np.ndarray
+    sizes: np.ndarray
+    lead: tuple[tuple[int, int], ...]
+    reads: tuple
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def stage_lattices(dims: Dims, stage: StageConfig) -> StageLattices:
+    """The stage's lattice table; built once per stage and shared, read-only.
+
+    Reads follow the chains: chains with a common column offset read their
+    row lattices back to back against that column lattice, and the chains
+    left alone are grouped by row offset. Both the noiseless layout and
+    the robust dyadic layout, whose offsets all lie on one axis, take two
+    reads per stage.
+    """
+    sx, sy, bx, by = stage.sub_x, stage.sub_y, stage.bins_x, stage.bins_y
+    ids: dict = {}
+    lead: list = []
+    inv, dq, first = [], [], []
+    for s1, s2 in stage.shifts:
+        g = ids.setdefault((s1 % sx, s2 % sy), len(ids))
+        first.append(g == len(lead))
+        if first[-1]:
+            lead.append((s1, s2))
+        t1, t2 = lead[g]
+        inv.append(g)
+        dq.append((((s1 - t1) // sx) % bx, ((s2 - t2) // sy) % by))
+    inv, first = np.asarray(inv, dtype=np.int64), np.asarray(first)
+
     by_col: dict[int, list[int]] = {}
-    for c, (_, s2) in enumerate(shifts):
+    for c, (_, s2) in enumerate(stage.shifts):
         by_col.setdefault(s2, []).append(c)
     groups = [(True, cs) for cs in by_col.values() if len(cs) > 1]
     by_row: dict[int, list[int]] = {}
     for cs in by_col.values():
         if len(cs) == 1:
-            by_row.setdefault(shifts[cs[0]][0], []).append(cs[0])
-    return groups + [(False, cs) for cs in by_row.values()]
+            by_row.setdefault(stage.shifts[cs[0]][0], []).append(cs[0])
+    groups += [(False, cs) for cs in by_row.values()]
+
+    shifts = np.asarray(stage.shifts, dtype=np.int64).reshape(-1, 2)
+    rows = (shifts[:, :1] + sx * np.arange(bx)) % dims.nx
+    cols = (shifts[:, 1:] + sy * np.arange(by)) % dims.ny
+    reads = []
+    for by_column, cs in groups:
+        keep = np.flatnonzero(first[cs])
+        read = ((rows[cs].ravel(), cols[cs[0]]) if by_column
+                else (rows[cs[0]], cols[cs].ravel()))
+        reads.append((_frozen(read[0]), _frozen(read[1]), by_column,
+                      _frozen(keep), _frozen(inv[cs][keep])))
+    return StageLattices(_frozen(inv), _frozen(dq), _frozen(np.bincount(inv)),
+                         tuple(lead), tuple(reads))
 
 
 def stage_observations(source, dims: Dims, stage: StageConfig) -> np.ndarray:
-    """All shifted aliased spectra of a stage, shape (shifts, bins_x, bins_y)."""
+    """The stage's aliased spectra, one per lattice: (lattices, bins_x, bins_y)."""
+    lat = stage_lattices(dims, stage)
     bx, by = stage.bins_x, stage.bins_y
-    shifts = np.asarray(stage.shifts, dtype=np.int64).reshape(-1, 2)
-    rows = (shifts[:, :1] + stage.sub_x * np.arange(bx)) % dims.nx
-    cols = (shifts[:, 1:] + stage.sub_y * np.arange(by)) % dims.ny
-    out = np.empty((len(shifts), bx, by), dtype=np.complex128)
-    for by_column, cs in _read_groups(stage.shifts):
+    out = np.empty((len(lat.lead), bx, by), dtype=np.complex128)
+    for rows, cols, by_column, keep, planes in lat.reads:
+        grid = source.sample_grid(rows, cols)
         if by_column:
-            grid = source.sample_grid(rows[cs].ravel(), cols[cs[0]])
-            out[cs] = grid.reshape(len(cs), bx, by)
+            out[planes] = grid.reshape(-1, bx, by)[keep]
         else:
-            grid = source.sample_grid(rows[cs[0]], cols[cs].ravel())
-            out[cs] = grid.reshape(bx, len(cs), by).transpose(1, 0, 2)
+            out[planes] = grid.reshape(bx, -1, by)[:, keep].transpose(1, 0, 2)
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
         raise NonFiniteSample("non-finite sample on the %dx%d lattice at "
-                              "shift %r" % (bx, by, stage.shifts[
-                                  int(np.argmin(finite))]))
+                              "shift %r" % (bx, by,
+                                            lat.lead[int(np.argmin(finite))]))
     np.fft.fft2(out, out=out)
     out /= stage.bin_count
     return out

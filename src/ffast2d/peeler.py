@@ -2,15 +2,18 @@
 
 Both decoders run one loop, `peel_stacks`, over the front end's
 observation stacks, and differ only in the bin classifier they plug in.
-A classifier maps a stage's (C, m) observation columns, one column per
-bin, to (nonzero, singleton, u, v, value) arrays. The engine owns
-everything else: first-pass bin statistics, rounds over the stages in
-order, the check that a recovered location aliases back into the bin it
-came from, subtraction of the peels from their bins in every stage, the
-live-bin churn check and the status rules.
+A stack holds one plane per distinct lattice of its stage. A classifier
+maps a stage's (planes, m) observation columns, one column per bin, to
+(nonzero, singleton, u, v, value) arrays. The engine owns everything
+else: first-pass bin statistics, rounds over the stages in order, the
+check that a recovered location aliases back into the bin it came from,
+subtraction of the peels from their bins in every plane of every stage
+(with the weight of the plane's first chain), the live-bin churn check
+and the status rules.
 
-The noiseless classifier is the ratio test. A bin's observation vector y
-has one entry per delay chain,
+The noiseless classifier is the ratio test. Noiseless chains sit on
+distinct lattices, so a bin's observation vector y has one entry per
+delay chain,
 y[c] = sum of X[u][v] * exp(2j*pi*(u*s1_c/nx + v*s2_c/ny)) over the
 coefficients aliased into the bin. Under the noiseless chain layout
 [(0,0), (1,0), (0,1)] a lone contributor betrays its location through
@@ -52,7 +55,7 @@ import numpy as np
 from .core import (Dims, FfastError, FfastPlan, MODE_NOISELESS, DecodeReport,
                    SparseSpectrum, STATUS_NOT_A_SINGLETON_LOOP,
                    STATUS_RESIDUAL_LEFT, STATUS_SUCCESS, noiseless_shifts)
-from .frontend import BinObservation, run_frontend
+from .frontend import BinObservation, run_frontend, stage_lattices
 
 KIND_ZERO_TON = "zero-ton"
 KIND_SINGLETON = "singleton"
@@ -189,7 +192,7 @@ def ratio_test(obs: BinObservation, dims: Dims,
                                           tol_residual, zero_thresh))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def _unit_roots(n: int) -> np.ndarray:
     """exp(2j*pi*r/n) for r in range(n), read-only."""
     roots = np.exp(2j * np.pi * (np.arange(n) / n))
@@ -201,9 +204,11 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
                 max_rounds: int | None, cut: float, trace=None) -> DecodeReport:
     """Peels the plan's observation stacks with the given bin classifier.
 
-    classify(stage_index, cols) takes (C, m) columns of one stage, one
-    column per bin, and returns (nonzero, singleton, u, v, value) arrays
-    of length m, with singleton a subset of nonzero. Recovered
+    Each stack holds one plane per distinct lattice of its stage
+    (frontend.stage_lattices). classify(stage_index, idx, cols) takes the
+    (planes, m) columns cols = stack[:, idx] of one stage, one column per
+    bin, and returns (nonzero, singleton, u, v, value) arrays of length m,
+    with singleton a subset of nonzero. Recovered
     coefficients at or below `cut` in magnitude are dropped from the
     spectrum. The stacks are consumed.
     """
@@ -211,18 +216,19 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     stages = plan.stages
     cols = [stack.reshape(stack.shape[0], -1) for stack in stacks]
     ex, ey = _unit_roots(dims.nx), _unit_roots(dims.ny)
-    # stages sharing a shift layout share the weights of a peel batch
+    # a plane holds its lattice's first chain; stages whose lattices start
+    # with the same shifts share the weights of a peel batch
     layout_ids: dict = {}
-    layout_of = [layout_ids.setdefault(st.shifts, len(layout_ids))
-                 for st in stages]
-    layouts = [np.array(shifts, dtype=np.int64).T[:, :, None]
-               for shifts in layout_ids]
+    layout_of = [layout_ids.setdefault(stage_lattices(dims, st).lead,
+                                       len(layout_ids)) for st in stages]
+    layouts = [np.array(lead, dtype=np.int64).T[:, :, None]
+               for lead in layout_ids]
 
     bins = [np.divmod(np.arange(st.bin_count), st.bins_y) for st in stages]
 
     def classify_bins(si, idx):
         stage, (ii, jj) = stages[si], bins[si]
-        nonzero, single, uu, vv, vals = classify(si, cols[si][:, idx])
+        nonzero, single, uu, vv, vals = classify(si, idx, cols[si][:, idx])
         single = (single & (uu % stage.bins_x == ii[idx])
                   & (vv % stage.bins_y == jj[idx]))
         return [nonzero, single, uu, vv, vals]
@@ -321,7 +327,7 @@ def decode(source, plan: FfastPlan, max_rounds: int | None = None,
     touched = source.access_count - before
     zero_thresh = observation_zero_threshold(stacks)
 
-    def classify(si, cols):
+    def classify(si, idx, cols):
         return _ratio_scan(cols, plan.dims, tol_angle, tol_residual,
                            zero_thresh)
 

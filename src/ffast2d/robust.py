@@ -13,30 +13,42 @@ stages use many chains: an anchor plus, per dimension and per bit level
 j, repeated shift pairs (r, r + 2^j) with fresh random offsets r. The
 phase difference of a pair's two observations isolates frac(2^j * u / n)
 for a lone contributor at index u, independent of r, so a dyadic
-unwrapping ladder rebuilds u level by level. Repetitions are combined by a median over the
-per-repetition integer estimates, which equals the majority answer
-whenever a strict majority agrees.
+unwrapping ladder rebuilds u level by level. Repetitions are combined by
+a median over the per-repetition integer estimates, which equals the
+majority answer whenever a strict majority agrees.
 
-Energy thresholds against the per-bin noise variance sigma2/B replace the
-exact zero test, and the value estimate is least squares across all
-chains rather than the anchor alone. At sigma2 = 0 the classifier finds
-the same singletons as the ratio test, so both decoders peel alike.
+The offsets are drawn modulo the grid size, not the stage period, so a
+stage's chains sit on few distinct lattices: n_g chains on lattice g.
+The front end keeps one plane per lattice; the classifier tests a bin's
+energy on the planes and derives the chains of a live bin from them by
+a phase ramp. Chains on one lattice carry one noise draw, so the energy
+and value thresholds against the per-bin noise variance sigma2/B are
+sized by the multiplicities n_g, not by the chain count alone (see
+_robust_scan). The value estimate is least squares across all chains
+rather than the anchor alone. At sigma2 = 0 the classifier finds the
+same singletons as the ratio test, so both decoders peel alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (Dims, FfastError, FfastPlan, MODE_ROBUST, DecodeReport,
-                   RobustParams, bit_levels, robust_chain_count)
-from .frontend import BinObservation, run_frontend
-from .peeler import (BinClass, WrongShiftLayout, observation_zero_threshold,
-                     peel_stacks)
+                   RobustParams, StageConfig, bit_levels, robust_chain_count)
+from .frontend import BinObservation, run_frontend, stage_lattices
+from .peeler import (BinClass, WrongShiftLayout, _unit_roots,
+                     observation_zero_threshold, peel_stacks)
 
 __all__ = ["RobustParams", "design_shifts", "robust_classify", "robust_decode",
            "estimate_noise_variance"]
+
+# a singleton's least-squares value must stand this many standard
+# deviations of its noise above zero
+VALUE_SIGMAS = 4.0
 
 
 def design_shifts(dims: Dims, params: RobustParams, seed: int):
@@ -134,24 +146,84 @@ def _estimate_bins(ys: np.ndarray, shifts_arr: np.ndarray, ladders,
     return uu, vv, vals, resid
 
 
-def _robust_scan(cols: np.ndarray, shifts_arr: np.ndarray, ladders,
+@dataclass(frozen=True)
+class _StageChains:
+    """A robust stage's chains and the lattice planes they are derived from.
+
+    Chain c is plane inv[c] times a phase ramp of dq[c] lattice steps over
+    the (bins_x, bins_y) bin grid; sizes[g] counts the chains of plane g
+    and spread is the sum of their squares.
+    """
+
+    ladders: tuple
+    shifts: np.ndarray
+    inv: np.ndarray
+    dq: np.ndarray
+    sizes: np.ndarray
+    spread: float
+    bins: tuple[int, int]
+
+    def expand(self, planes: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """(C, m) chain columns from (G, m) plane columns at flat bins pos."""
+        bx, by = self.bins
+        i, j = np.divmod(pos, by)
+        ramp = (_unit_roots(bx)[self.dq[:, :1] * i % bx]
+                * _unit_roots(by)[self.dq[:, 1:] * j % by])
+        return planes[self.inv] * ramp
+
+
+def _independent_chains(shifts, dims: Dims, params: RobustParams):
+    """A lone observation: every chain is its own plane."""
+    n = len(shifts)
+    return _StageChains(tuple(_parse_layout(shifts, dims, params)),
+                        np.asarray(shifts, dtype=np.float64), np.arange(n),
+                        np.zeros((n, 2), dtype=np.int64),
+                        np.ones(n, dtype=np.int64), n, (1, 1))
+
+
+@lru_cache(maxsize=16)
+def _stage_chains(dims: Dims, stage: StageConfig,
+                  params: RobustParams) -> _StageChains:
+    lat = stage_lattices(dims, stage)
+    shifts = np.asarray(stage.shifts, dtype=np.float64)
+    shifts.flags.writeable = False
+    return _StageChains(tuple(_parse_layout(stage.shifts, dims, params)),
+                        shifts, lat.inv, lat.dq, lat.sizes,
+                        float(lat.sizes @ lat.sizes),
+                        (stage.bins_x, stage.bins_y))
+
+
+def _robust_scan(cols: np.ndarray, pos: np.ndarray, chains: _StageChains,
                  dims: Dims, params: RobustParams, sigma2: float,
                  zero_thresh: float):
-    """Energy test, then ladder estimates on the live columns of (C, m) cols."""
-    chains, m = cols.shape
-    floor = chains * zero_thresh ** 2
-    energy = (np.abs(cols) ** 2).sum(axis=0)
-    nonzero = energy > (1 + params.gamma_zero) * chains * sigma2 + floor
+    """Energy test on (G, m) lattice columns at flat bins pos, then ladder
+    estimates on the chains of the live columns.
+
+    With n_g chains on plane g and C chains in all, a noise-only bin's
+    energy sum_g n_g |y_g|^2 has mean C sigma2 and standard deviation
+    sqrt(sum_g n_g^2) sigma2, and the least-squares value has variance
+    sigma2 sum_g n_g^2 / C^2; both thresholds follow. For independent
+    chains (every n_g = 1) the energy threshold is (1 + gamma_zero) C sigma2.
+    """
+    n = len(chains.inv)
+    m = cols.shape[1]
+    floor = n * zero_thresh ** 2
+    energy = chains.sizes @ (np.abs(cols) ** 2)
+    nonzero = energy > ((n + params.gamma_zero * math.sqrt(n * chains.spread))
+                        * sigma2 + floor)
     single = np.zeros(m, dtype=bool)
     uu = np.zeros(m, dtype=np.int64)
     vv = np.zeros(m, dtype=np.int64)
     vals = np.zeros(m, dtype=np.complex128)
     live = np.flatnonzero(nonzero)
     if live.size:
-        u, v, val, resid = _estimate_bins(cols[:, live], shifts_arr, ladders,
+        ys = chains.expand(cols[:, live], pos[live])
+        u, v, val, resid = _estimate_bins(ys, chains.shifts, chains.ladders,
                                           dims)
-        single[live] = ((resid <= (1 + params.gamma_single) * chains * sigma2
-                         + floor) & (np.abs(val) > zero_thresh))
+        single[live] = ((resid <= (1 + params.gamma_single) * n * sigma2
+                         + floor) & (np.abs(val) > zero_thresh)
+                        & (np.abs(val) ** 2 > VALUE_SIGMAS ** 2 * sigma2
+                           * chains.spread / n ** 2))
         uu[live], vv[live], vals[live] = u, v, val
     return nonzero, single, uu, vv, vals
 
@@ -159,8 +231,12 @@ def _robust_scan(cols: np.ndarray, shifts_arr: np.ndarray, ladders,
 def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
                     noise_var: float | None = None,
                     zero_thresh: float | None = None) -> BinClass:
-    """Classifies one robust-layout observation vector."""
-    ladders = _parse_layout(obs.shifts, dims, params)
+    """Classifies one robust-layout observation vector.
+
+    A lone vector carries no lattice structure, so its chains count as
+    independent.
+    """
+    chains = _independent_chains(obs.shifts, dims, params)
     ys = np.asarray(obs.values, dtype=np.complex128)[:, None]
     if ys.shape[0] != len(obs.shifts):
         raise WrongShiftLayout("expected %d chain values, got %d"
@@ -168,9 +244,9 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
     sigma2 = params.noise_var if noise_var is None else noise_var
     if zero_thresh is None:
         zero_thresh = observation_zero_threshold([ys])
-    shifts_arr = np.asarray(obs.shifts, dtype=np.float64)
-    return BinClass.from_scan(_robust_scan(ys, shifts_arr, ladders, dims,
-                                           params, sigma2, zero_thresh))
+    return BinClass.from_scan(_robust_scan(ys, np.zeros(1, dtype=np.int64),
+                                           chains, dims, params, sigma2,
+                                           zero_thresh))
 
 
 def robust_decode(source, plan: FfastPlan, params: RobustParams | None = None,
@@ -185,8 +261,8 @@ def robust_decode(source, plan: FfastPlan, params: RobustParams | None = None,
         raise FfastError("no robust parameters on the plan or the call")
     plan.validate()
     dims = plan.dims
-    ladders = [_parse_layout(s.shifts, dims, params) for s in plan.stages]
-    shift_arrs = [np.asarray(s.shifts, dtype=np.float64) for s in plan.stages]
+    chains = [_stage_chains(dims, s, params) for s in plan.stages]
+    positions = [np.arange(s.bin_count) for s in plan.stages]
     sigma2_obs = [params.noise_var / s.bin_count for s in plan.stages]
 
     before = source.access_count
@@ -194,9 +270,9 @@ def robust_decode(source, plan: FfastPlan, params: RobustParams | None = None,
     touched = source.access_count - before
     zero_thresh = observation_zero_threshold(stacks)
 
-    def classify(si, cols):
-        return _robust_scan(cols, shift_arrs[si], ladders[si], dims, params,
-                            sigma2_obs[si], zero_thresh)
+    def classify(si, idx, cols):
+        return _robust_scan(cols, positions[si][idx], chains[si], dims,
+                            params, sigma2_obs[si], zero_thresh)
 
     return peel_stacks(stacks, plan, classify, touched, max_rounds,
                        max(min_magnitude, zero_thresh), trace)
@@ -205,9 +281,11 @@ def robust_decode(source, plan: FfastPlan, params: RobustParams | None = None,
 def estimate_noise_variance(source, plan: FfastPlan) -> float:
     """Bootstrap per-sample noise variance from mostly-empty bins.
 
-    Most bins hold no coefficient, so the median per-chain bin energy is a
+    Most bins hold no coefficient, so the median per-plane bin energy is a
     robust estimate of sigma2 / B; bins below 1.5x the median are averaged
-    for the final figure and rescaled by B.
+    for the final figure and rescaled by B. The mean runs over the stage's
+    lattice planes, not its chains; every plane's noise has variance
+    sigma2 / B, so it still estimates sigma2 / B.
     """
     stacks = run_frontend(plan, source)
     per_stage = []

@@ -282,6 +282,23 @@ def test_plan_cli_robust_carries_design(tmp_path):
     assert json.loads(path.read_text()) == json.loads(plan_to_json(want))
 
 
+def test_readme_robust_example_exits_clean(tmp_path):
+    # the README's robust CLI example, at the plan's noise variance
+    plan_path = str(tmp_path / "plan280r.json")
+    assert main(["plan", "--nx", "280", "--ny", "280",
+                 "--factors", "25,64,49", "--mode", "robust",
+                 "--sigma2", "1.0", "--reps", "5", "--design-seed", "8",
+                 "--out", plan_path]) == 0
+    report = tmp_path / "report.json"
+    assert main(["decode", "--plan", plan_path, "--k", "50", "--seed", "12",
+                 "--value-model", "constellation", "--rho", "17.1",
+                 "--sigma2", "1.0", "--noise-seed", "3",
+                 "--min-magnitude", "1.0", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["status"] == "success"
+    assert len(doc["entries"]) == 50
+
+
 def test_plan_cli_rejects_bad_factors(capsys):
     assert main(["plan", "--nx", "12", "--ny", "12",
                  "--factors", "6,24"]) == 1

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from ffast2d.core import (Constellation, Dims, NoValidSplit, NotCoprime,
-                          PlanError, ProductMismatch, RobustParams,
-                          SparseSpectrum, StageConfig, bit_levels, build_plan,
-                          noiseless_shifts, plan_eta, plan_from_json,
-                          plan_sample_budget, plan_to_json,
+from ffast2d.core import (Constellation, Dims, FfastPlan, NoValidSplit,
+                          NotCoprime, PlanError, ProductMismatch,
+                          RobustParams, SparseSpectrum, StageConfig,
+                          bit_levels, build_plan, noiseless_shifts, plan_eta,
+                          plan_from_json, plan_sample_budget, plan_to_json,
                           robust_chain_count)
 
 
@@ -119,6 +119,17 @@ def test_validate_rejects_noiseless_layout_drift():
     broken = plan.__class__(plan.dims, (bad, plan.stages[1]), plan.mode)
     with pytest.raises(PlanError):
         broken.validate()
+
+
+def test_validate_rejects_a_stage_that_does_not_subsample():
+    # build_plan never makes one; a hand-made plan must not slip through,
+    # or its (0, 0) and (1, 0) chains would read one lattice
+    dims = Dims(4, 9)
+    shifts = noiseless_shifts(dims)
+    stages = (StageConfig.from_subsampling(dims, 1, 9, shifts),
+              StageConfig.from_subsampling(dims, 4, 1, shifts))
+    with pytest.raises(NoValidSplit, match="unsubsampled"):
+        FfastPlan(dims, stages).validate()
 
 
 def test_bit_levels():

@@ -7,7 +7,8 @@ from ffast2d.core import (Constellation, Dims, RobustParams, SparseSpectrum,
                           StageConfig, build_plan, plan_sample_budget)
 from ffast2d.crt import DiagonalView, diag_freq_index
 from ffast2d.frontend import (NonFiniteSample, ShapeMismatch, alias_bin,
-                              chain_weights, run_frontend, stage_observations)
+                              chain_weights, run_frontend, stage_lattices,
+                              stage_observations)
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
                             alias_sum_oracle, dense_dft_2d, gen_instance)
 
@@ -22,6 +23,19 @@ def _worked_source():
 def _stage_6x6():
     return StageConfig.from_subsampling(Dims(6, 6), 3, 3,
                                         [(0, 0), (1, 0), (0, 1)])
+
+
+def _chain_spectra(stack, dims, stage):
+    """Every chain's spectrum, rebuilt from the stage's lattice planes.
+
+    A chain dq lattice steps on from its lattice's first chain reads that
+    grid rotated, so its spectrum is the plane times a phase ramp.
+    """
+    lat = stage_lattices(dims, stage)
+    i = np.arange(stage.bins_x)[:, None] / stage.bins_x
+    j = np.arange(stage.bins_y)[None, :] / stage.bins_y
+    return np.array([stack[g] * np.exp(2j * np.pi * (dx * i + dy * j))
+                     for g, (dx, dy) in zip(lat.inv, lat.dq)])
 
 
 def _one_chain(src, dims, sub_x, sub_y, shift):
@@ -80,11 +94,15 @@ def test_aliasing_identity_brute_force(nx, ny, sub, shift):
 @pytest.mark.parametrize("shift", [(0, 0), (1, 0), (0, 1), (4, 3)])
 def test_frontend_matches_alias_oracle(shift):
     # the shift rides along with the noiseless chains, in whichever read
-    # group it falls into
+    # group it falls into; on 3x3 periods it shares a lattice with one of
+    # them, (4, 3) one step on along both axes from (1, 0)
     src, truth = _worked_source()
     stage = StageConfig.from_subsampling(Dims(6, 6), 3, 3,
                                          [(0, 0), (1, 0), (0, 1), shift])
-    got = stage_observations(src, Dims(6, 6), stage)[3]
+    stack = stage_observations(src, Dims(6, 6), stage)
+    assert stack.shape == (3, 2, 2)
+    assert src.access_count == 4 * stage.bin_count
+    got = _chain_spectra(stack, Dims(6, 6), stage)[3]
     want = alias_sum_oracle(truth, stage, shift)
     assert np.max(np.abs(got - want)) < 1e-9
 
@@ -205,19 +223,22 @@ def test_stage_observations_match_alias_oracle_chain_by_chain(kind):
     plan, src, truth = _frontend_case(kind)
     dims = plan.dims
     for stage in plan.stages:
+        # one plane per lattice: chains whose offsets agree modulo the
+        # stage periods read one lattice
+        lattices = {(s1 % stage.sub_x, s2 % stage.sub_y)
+                    for s1, s2 in stage.shifts}
         if kind == "robust":
-            # several chains read one lattice: their offsets agree modulo
-            # the stage periods
-            lattices = {(s1 % stage.sub_x, s2 % stage.sub_y)
-                        for s1, s2 in stage.shifts}
             assert len(lattices) < len(stage.shifts)
+        else:
+            assert len(lattices) == len(stage.shifts)
         before = src.access_count
         stack = stage_observations(src, dims, stage)
         assert src.access_count - before == len(stage.shifts) * stage.bin_count
-        assert stack.shape == (len(stage.shifts), stage.bins_x, stage.bins_y)
+        assert stack.shape == (len(lattices), stage.bins_x, stage.bins_y)
+        chains = _chain_spectra(stack, dims, stage)
         for c, shift in enumerate(stage.shifts):
             want = alias_sum_oracle(truth, stage, shift)
-            assert np.max(np.abs(stack[c] - want)) < 1e-9
+            assert np.max(np.abs(chains[c] - want)) < 1e-9
 
 
 class _CountingSource:
@@ -243,14 +264,17 @@ class _CountingSource:
 def test_run_frontend_reads_two_grids_per_stage():
     plan = _criterion_8_plan()
     counter = _CountingSource(gen_instance(plan.dims, 50, seed=900).source)
-    run_frontend(plan, counter)
+    stacks = run_frontend(plan, counter)
     assert counter.grid_calls == 2 * len(plan.stages)
     assert counter.access_count == plan_sample_budget(plan)
+    # 181 chains per stage on 9, 15 and 13 distinct lattices
+    assert [len(s.shifts) for s in plan.stages] == [181] * 3
+    assert [len(s) for s in stacks] == [9, 15, 13]
 
 
 def test_run_frontend_peak_memory_near_its_output():
-    # the FFT runs in place: the largest transient is one read group, not
-    # a second copy of the stack
+    # one plane per lattice, and the FFT runs in place: the largest
+    # transient is one read group, well below a plane for every chain
     plan = _criterion_8_plan()
     rho = 10 ** 1.3 / Constellation(1.0, 2, 8).mean_power()
     inst = gen_instance(plan.dims, 50, Constellation(rho, 2, 8), seed=900)
@@ -263,4 +287,6 @@ def test_run_frontend_peak_memory_near_its_output():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * sum(s.nbytes for s in stacks)
+    per_chain = sum(len(s.shifts) * s.bin_count * 16 for s in plan.stages)
+    assert sum(s.nbytes for s in stacks) < per_chain / 10
+    assert peak <= 0.75 * per_chain

@@ -4,8 +4,8 @@ import pytest
 from ffast2d.core import (Constellation, Dims, RobustParams, SparseSpectrum,
                           build_plan, robust_chain_count, STATUS_SUCCESS)
 from ffast2d.frontend import BinObservation, NonFiniteSample
-from ffast2d.oracle import (ArraySource, ExponentialSumSource, add_noise,
-                            gen_instance, synthesize_dense)
+from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
+                            add_noise, gen_instance, synthesize_dense)
 from ffast2d.peeler import (KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
                             WrongShiftLayout, decode, ratio_test)
 from ffast2d.robust import (design_shifts, estimate_noise_variance,
@@ -297,3 +297,41 @@ def test_estimate_noise_variance():
     quiet = add_noise(gen_instance(Dims(60, 60), 0, seed=0).source, 2.0, seed=1)
     est0 = estimate_noise_variance(quiet, plan)
     assert abs(est0 - 2.0) / 2.0 < 0.25
+
+
+def _criterion_8_setup():
+    dims = Dims(280, 280)
+    rho = 10 ** 1.3 / Constellation(1.0, 2, 8).mean_power()
+    params = RobustParams(chains_per_dim=1, reps=5, noise_var=1.0, seed=8)
+    plan = build_plan(dims, [25, 64, 49], "less-sparse", mode="robust",
+                      robust_params=params)
+    return plan, Constellation(rho, 2, 8), np.sqrt(rho) / 4
+
+
+def test_robust_decode_pure_noise_is_quiet():
+    # 181 chains per stage sit on 9, 15 and 13 lattices; a zero-ton test
+    # that counted them as independent flagged about 6.5% of these bins
+    plan, _, min_mag = _criterion_8_setup()
+    empty = gen_instance(plan.dims, 0, seed=0).source
+    for seed in range(10):
+        report = robust_decode(NoisySource(empty, 1.0, seed=seed), plan,
+                               min_magnitude=min_mag)
+        live = sum(s[KIND_SINGLETON] + s[KIND_MULTI_TON]
+                   for s in report.bin_stats)
+        assert live <= 0.005 * sum(plan.bin_counts), seed
+        assert report.status == STATUS_SUCCESS, seed
+        assert len(report.spectrum) == 0, seed
+
+
+def test_robust_decode_reports_success_under_noise():
+    # criterion 8's instances: a right decode peels its 50 coefficients
+    # and no noise, so it drains the graph and says so
+    plan, model, min_mag = _criterion_8_setup()
+    wins = 0
+    for i in range(40):
+        inst = gen_instance(plan.dims, 50, model, seed=900 + i)
+        report = robust_decode(NoisySource(inst.source, 1.0, seed=i), plan,
+                               min_magnitude=min_mag)
+        assert set(dict(report.spectrum.items())) == set(inst.truth.entries), i
+        wins += report.status == STATUS_SUCCESS
+    assert wins >= 36
