@@ -139,6 +139,7 @@ def report_doc(report, plan, wall_ms: float) -> dict:
         "mode": plan.mode,
         "status": report.status,
         "samples_touched": report.samples_touched,
+        "distinct_cells": report.distinct_cells,
         "sample_budget": plan_sample_budget(plan),
         "peel_iterations": report.peel_iterations,
         "oversampling_ratio": ratio,

@@ -290,10 +290,15 @@ STATUS_NOT_A_SINGLETON_LOOP = "not-a-singleton-loop"
 
 @dataclass
 class DecodeReport:
-    """Decode outcome: recovered spectrum plus accounting."""
+    """Decode outcome: recovered spectrum plus accounting.
+
+    samples_touched counts every sample charged to the source, repeats
+    included; distinct_cells counts the grid cells those reads cover.
+    """
 
     spectrum: SparseSpectrum
     samples_touched: int
+    distinct_cells: int
     peel_iterations: int
     status: str
     bin_stats: list[dict[str, int]]

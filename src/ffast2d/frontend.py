@@ -133,6 +133,27 @@ def stage_lattices(dims: Dims, stage: StageConfig) -> StageLattices:
                          tuple(lead), tuple(reads))
 
 
+@lru_cache(maxsize=16)
+def distinct_cells(dims: Dims, stages: tuple[StageConfig, ...]) -> int:
+    """Distinct grid cells the stages' reads cover; built once per plan.
+
+    A read covers its rows times its columns, so columns covered by the
+    same reads share one union of rows. The count needs one row mask and
+    one column mask per read, never a grid-sized mask or a list of cells.
+    """
+    reads = [read[:2] for stage in stages
+             for read in stage_lattices(dims, stage).reads]
+    on_rows = np.zeros((len(reads), dims.nx), dtype=bool)
+    on_cols = np.zeros((len(reads), dims.ny), dtype=bool)
+    for r, (rows, cols) in enumerate(reads):
+        on_rows[r, rows] = True
+        on_cols[r, cols] = True
+    covers, widths = np.unique(on_cols[:, on_cols.any(axis=0)].T, axis=0,
+                               return_counts=True)
+    rows_read = covers @ on_rows[:, on_rows.any(axis=0)]
+    return int(np.count_nonzero(rows_read, axis=1) @ widths)
+
+
 def stage_observations(source, dims: Dims, stage: StageConfig) -> np.ndarray:
     """The stage's aliased spectra, one per lattice: (lattices, bins_x, bins_y)."""
     lat = stage_lattices(dims, stage)

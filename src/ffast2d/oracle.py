@@ -95,17 +95,19 @@ def _first_seen(idx: np.ndarray, n: int):
     """idx's distinct values in first-seen order, and where idx reads them.
 
     The second item is None when idx has no repeats, which a mask over
-    range(n) tells without sorting.
+    range(n) tells without sorting. Otherwise one pass over idx finds each
+    value's first position, and only those distinct starts are sorted.
     """
     seen = np.zeros(n, dtype=bool)
     seen[idx] = True
     if np.count_nonzero(seen) == len(idx):
         return idx, None
-    _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return idx[first[order]], rank[inverse]
+    first = np.full(n, len(idx), dtype=np.intp)
+    np.minimum.at(first, idx, np.arange(len(idx)))
+    distinct = idx[np.sort(first[seen])]
+    rank = np.empty(n, dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[idx]
 
 
 class ArraySource(SignalSource):

@@ -55,7 +55,8 @@ import numpy as np
 from .core import (Dims, FfastError, FfastPlan, MODE_NOISELESS, DecodeReport,
                    SparseSpectrum, STATUS_NOT_A_SINGLETON_LOOP,
                    STATUS_RESIDUAL_LEFT, STATUS_SUCCESS, noiseless_shifts)
-from .frontend import BinObservation, run_frontend, stage_lattices
+from .frontend import (BinObservation, distinct_cells, run_frontend,
+                       stage_lattices)
 
 KIND_ZERO_TON = "zero-ton"
 KIND_SINGLETON = "singleton"
@@ -297,6 +298,8 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
             break
         prev_live = live
     residual = any(current(si)[0].any() for si in range(len(stages)))
+    # keys are in-range ints and every kept value is nonzero (cut >= 0), so
+    # the spectrum takes the dict as it stands
     entries = {loc: val for loc, val in recovered.items() if abs(val) > cut}
     if not residual and len(entries) == events:
         status = STATUS_SUCCESS
@@ -304,8 +307,9 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
         status = STATUS_NOT_A_SINGLETON_LOOP
     else:
         status = STATUS_RESIDUAL_LEFT
-    return DecodeReport(SparseSpectrum.from_entries(dims, entries),
-                        samples_touched, rounds, status, bin_stats)
+    return DecodeReport(SparseSpectrum(dims, entries), samples_touched,
+                        distinct_cells(dims, stages), rounds, status,
+                        bin_stats)
 
 
 def decode(source, plan: FfastPlan, max_rounds: int | None = None,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import (Dims, FfastError, FfastPlan, MODE_ROBUST, DecodeReport,
                    RobustParams, StageConfig, bit_levels, robust_chain_count)
-from .frontend import BinObservation, run_frontend, stage_lattices
+from .frontend import BinObservation, _frozen, run_frontend, stage_lattices
 from .peeler import (BinClass, WrongShiftLayout, _unit_roots,
                      observation_zero_threshold, peel_stacks)
 
@@ -81,12 +81,14 @@ def design_shifts(dims: Dims, params: RobustParams, seed: int):
 
 @dataclass(frozen=True)
 class _DimLadder:
-    """Chain bookkeeping for one dimension: pairs[j*reps + rep] = (c1, c2)."""
+    """Chain bookkeeping for one dimension: pair p = j*reps + rep, the
+    repetition rep at bit level j, is chains c1[p] and c2[p] = c1[p] + 1."""
 
     n: int
     levels: int
     reps: int
-    pairs: tuple[tuple[int, int], ...]
+    c1: np.ndarray
+    c2: np.ndarray
 
 
 def _parse_layout(shifts, dims: Dims, params: RobustParams):
@@ -100,7 +102,7 @@ def _parse_layout(shifts, dims: Dims, params: RobustParams):
     ladders = []
     c = 1
     for n, along_x in ((dims.nx, True), (dims.ny, False)):
-        pairs = []
+        firsts = []
         for j in range(bit_levels(n)):
             step = 1 << j
             for _ in range(reps):
@@ -110,9 +112,10 @@ def _parse_layout(shifts, dims: Dims, params: RobustParams):
                     raise WrongShiftLayout(
                         "chains %d,%d do not form a level-%d pair in %s"
                         % (c, c + 1, j, "x" if along_x else "y"))
-                pairs.append((c, c + 1))
+                firsts.append(c)
                 c += 2
-        ladders.append(_DimLadder(n, bit_levels(n), reps, tuple(pairs)))
+        c1 = _frozen(firsts)
+        ladders.append(_DimLadder(n, bit_levels(n), reps, c1, _frozen(c1 + 1)))
     return ladders
 
 
@@ -121,10 +124,8 @@ def _ladder_decode(ys: np.ndarray, ladder: _DimLadder) -> np.ndarray:
     m = ys.shape[1]
     if ladder.levels == 0:
         return np.zeros(m, dtype=np.int64)
-    frac = np.empty((ladder.levels, ladder.reps, m))
-    for p, (c1, c2) in enumerate(ladder.pairs):
-        j, rep = divmod(p, ladder.reps)
-        frac[j, rep] = np.angle(ys[c2] * np.conj(ys[c1])) / (2 * np.pi) % 1.0
+    frac = (np.angle(ys[ladder.c2] * np.conj(ys[ladder.c1])) / (2 * np.pi)
+            % 1.0).reshape(ladder.levels, ladder.reps, m)
     est = frac[0]
     for j in range(1, ladder.levels):
         whole = np.rint(est * (1 << j) - frac[j])
@@ -133,14 +134,15 @@ def _ladder_decode(ys: np.ndarray, ladder: _DimLadder) -> np.ndarray:
     return np.sort(ints, axis=0)[ladder.reps // 2]
 
 
-def _estimate_bins(ys: np.ndarray, shifts_arr: np.ndarray, ladders,
-                   dims: Dims):
-    """Location, least-squares value and residual energy per column of ys."""
+def _estimate_bins(ys: np.ndarray, shifts: np.ndarray, ladders, dims: Dims):
+    """Location, least-squares value and residual energy per column of ys.
+
+    shifts is the (C, 2) int64 chain shift table.
+    """
     uu = _ladder_decode(ys, ladders[0])
     vv = _ladder_decode(ys, ladders[1])
-    ph = (uu[None, :] * shifts_arr[:, :1] / dims.nx
-          + vv[None, :] * shifts_arr[:, 1:] / dims.ny)
-    w = np.exp(2j * np.pi * ph)
+    w = (_unit_roots(dims.nx)[shifts[:, :1] * uu % dims.nx]
+         * _unit_roots(dims.ny)[shifts[:, 1:] * vv % dims.ny])
     vals = (np.conj(w) * ys).sum(axis=0) / ys.shape[0]
     resid = (np.abs(ys - vals[None, :] * w) ** 2).sum(axis=0)
     return uu, vv, vals, resid
@@ -176,7 +178,7 @@ def _independent_chains(shifts, dims: Dims, params: RobustParams):
     """A lone observation: every chain is its own plane."""
     n = len(shifts)
     return _StageChains(tuple(_parse_layout(shifts, dims, params)),
-                        np.asarray(shifts, dtype=np.float64), np.arange(n),
+                        np.asarray(shifts, dtype=np.int64), np.arange(n),
                         np.zeros((n, 2), dtype=np.int64),
                         np.ones(n, dtype=np.int64), n, (1, 1))
 
@@ -185,10 +187,8 @@ def _independent_chains(shifts, dims: Dims, params: RobustParams):
 def _stage_chains(dims: Dims, stage: StageConfig,
                   params: RobustParams) -> _StageChains:
     lat = stage_lattices(dims, stage)
-    shifts = np.asarray(stage.shifts, dtype=np.float64)
-    shifts.flags.writeable = False
     return _StageChains(tuple(_parse_layout(stage.shifts, dims, params)),
-                        shifts, lat.inv, lat.dq, lat.sizes,
+                        _frozen(stage.shifts), lat.inv, lat.dq, lat.sizes,
                         float(lat.sizes @ lat.sizes),
                         (stage.bins_x, stage.bins_y))
 

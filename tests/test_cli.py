@@ -97,6 +97,8 @@ def test_gen_decode_round_trip_worked_example(tmp_path):
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["status"] == "success"
     assert doc["samples_touched"] == 39
+    # the stages share 9 of their cells
+    assert doc["distinct_cells"] == 30
     assert doc["sample_budget"] == 39
     assert doc["nx"] == 6 and doc["ny"] == 6
     got = {(u, v): complex(re, im) for u, v, re, im in doc["entries"]}

@@ -10,7 +10,10 @@ from ffast2d.frontend import (NonFiniteSample, ShapeMismatch, alias_bin,
                               chain_weights, run_frontend, stage_lattices,
                               stage_observations)
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
-                            alias_sum_oracle, dense_dft_2d, gen_instance)
+                            SignalSource, alias_sum_oracle, dense_dft_2d,
+                            gen_instance)
+from ffast2d.peeler import decode
+from ffast2d.robust import robust_decode
 
 WORKED_6X6 = {(1, 3): 7.0, (2, 0): 3.0, (2, 3): 5.0, (4, 0): 1.0}
 
@@ -290,3 +293,37 @@ def test_run_frontend_peak_memory_near_its_output():
     per_chain = sum(len(s.shifts) * s.bin_count * 16 for s in plan.stages)
     assert sum(s.nbytes for s in stacks) < per_chain / 10
     assert peak <= 0.75 * per_chain
+
+
+class _RecordingSource(SignalSource):
+    """Delegates grid reads to a source and records every cell they cover."""
+
+    def __init__(self, inner):
+        super().__init__(inner.dims)
+        self.inner = inner
+        self.cells = set()
+
+    def _grid(self, rows, cols):
+        flat = rows[:, None] * self.dims.ny + cols
+        self.cells.update(flat.ravel().tolist())
+        return self.inner._grid(rows, cols)
+
+
+@pytest.mark.parametrize("mode,k,charged,distinct", [
+    ("robust", 50, 1_078_941, 50_176),
+    ("noiseless", 3821, 17_883, 16_668),
+])
+def test_report_distinct_cells_match_a_recording_source(mode, k, charged,
+                                                        distinct):
+    # the criterion-8 plan and the lsparse-280 plan: same 280x280 split
+    if mode == "robust":
+        plan = _criterion_8_plan()
+        run = robust_decode
+    else:
+        plan = build_plan(Dims(280, 280), [25, 64, 49], "less-sparse")
+        run = decode
+    src = _RecordingSource(gen_instance(plan.dims, k, seed=17).source)
+    report = run(src, plan)
+    assert report.status == "success"
+    assert report.samples_touched == charged == plan_sample_budget(plan)
+    assert report.distinct_cells == len(src.cells) == distinct

@@ -6,9 +6,9 @@ import pytest
 
 from ffast2d.core import Constellation, Dims, SparseSpectrum, StageConfig
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, KTooLarge,
-                            NoisySource, add_noise, alias_sum_oracle,
-                            dense_dft_2d, gen_instance, instance_snr,
-                            synthesize_dense)
+                            NoisySource, _first_seen, add_noise,
+                            alias_sum_oracle, dense_dft_2d, gen_instance,
+                            instance_snr, synthesize_dense)
 
 WORKED_6X6 = {(1, 3): 7.0, (2, 0): 3.0, (2, 3): 5.0, (4, 0): 1.0}
 
@@ -275,3 +275,42 @@ def test_instance_snr_plug_in():
     inst = gen_instance(Dims(300, 300), 3000, value_model=model, seed=9)
     want = model.mean_power() / 2.0
     assert abs(instance_snr(inst, 2.0) - want) / want < 0.05
+
+
+def _first_seen_unique_reference(idx, n):
+    # the np.unique + argsort version, kept as the oracle
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    if np.count_nonzero(seen) == len(idx):
+        return idx, None
+    _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return idx[first[order]], rank[inverse]
+
+
+def _first_seen_cases():
+    rng = np.random.default_rng(31)
+    cases = [(np.array([], dtype=np.int64), 5), (np.array([3]), 4),
+             (np.array([0]), 1), (np.full(7, 2), 3), (np.full(40, 0), 1),
+             (np.array([4, 1, 4, 0, 1, 4]), 5)]
+    for n in (2, 7, 56, 280):
+        cases.append((rng.permutation(n)[:max(1, n // 2)], n))
+        cases.append((rng.integers(n, size=3 * n + 1), n))
+        cases.append((np.tile(rng.permutation(n), 3), n))
+    return [(np.asarray(idx, dtype=np.int64), n) for idx, n in cases]
+
+
+@pytest.mark.parametrize("idx,n", _first_seen_cases())
+def test_first_seen_matches_unique_reference(idx, n):
+    got_vals, got_at = _first_seen(idx, n)
+    want_vals, want_at = _first_seen_unique_reference(idx, n)
+    assert np.array_equal(got_vals, want_vals)
+    assert got_vals.dtype == want_vals.dtype
+    if want_at is None:
+        assert got_at is None
+    else:
+        assert np.array_equal(got_at, want_at)
+        assert got_at.dtype == want_at.dtype
+        assert np.array_equal(got_vals[got_at], idx)

@@ -3,13 +3,14 @@ import pytest
 
 from ffast2d.core import (Constellation, Dims, RobustParams, SparseSpectrum,
                           build_plan, robust_chain_count, STATUS_SUCCESS)
-from ffast2d.frontend import BinObservation, NonFiniteSample
+from ffast2d.frontend import BinObservation, NonFiniteSample, run_frontend
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
                             add_noise, gen_instance, synthesize_dense)
 from ffast2d.peeler import (KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
                             WrongShiftLayout, decode, ratio_test)
-from ffast2d.robust import (design_shifts, estimate_noise_variance,
-                            robust_classify, robust_decode)
+from ffast2d.robust import (_ladder_decode, _stage_chains, design_shifts,
+                            estimate_noise_variance, robust_classify,
+                            robust_decode)
 
 
 def _weights(shifts, dims, u, v):
@@ -335,3 +336,43 @@ def test_robust_decode_reports_success_under_noise():
         assert set(dict(report.spectrum.items())) == set(inst.truth.entries), i
         wins += report.status == STATUS_SUCCESS
     assert wins >= 36
+
+
+def _ladder_decode_per_pair_reference(ys, ladder):
+    # one np.angle call per ladder pair, kept as the oracle
+    m = ys.shape[1]
+    if ladder.levels == 0:
+        return np.zeros(m, dtype=np.int64)
+    frac = np.empty((ladder.levels, ladder.reps, m))
+    for p, (c1, c2) in enumerate(zip(ladder.c1.tolist(), ladder.c2.tolist())):
+        j, rep = divmod(p, ladder.reps)
+        frac[j, rep] = np.angle(ys[c2] * np.conj(ys[c1])) / (2 * np.pi) % 1.0
+    est = frac[0]
+    for j in range(1, ladder.levels):
+        whole = np.rint(est * (1 << j) - frac[j])
+        est = (whole + frac[j]) / (1 << j)
+    ints = np.rint(est * ladder.n).astype(np.int64) % ladder.n
+    return np.sort(ints, axis=0)[ladder.reps // 2]
+
+
+def test_ladder_decode_matches_per_pair_reference():
+    # noisy chain columns of the criterion-8 plan (280x280, 181 chains,
+    # k = 50 at 13 dB), every bin of every stage, plus m = 0 and m = 1
+    dims = Dims(280, 280)
+    rho = 10 ** 1.3 / Constellation(1.0, 2, 8).mean_power()
+    params = RobustParams(chains_per_dim=1, reps=5, noise_var=1.0, seed=8)
+    plan = build_plan(dims, [25, 64, 49], "less-sparse", mode="robust",
+                      robust_params=params)
+    inst = gen_instance(dims, 50, Constellation(rho, 2, 8), seed=4321)
+    stacks = run_frontend(plan, NoisySource(inst.source, 1.0, seed=77))
+    for stage, stack in zip(plan.stages, stacks):
+        chains = _stage_chains(dims, stage, params)
+        cols = stack.reshape(stack.shape[0], -1)
+        pos = np.arange(cols.shape[1])
+        for sel in (pos, pos[:0], pos[5:6]):
+            ys = chains.expand(cols[:, sel], sel)
+            for ladder in chains.ladders:
+                got = _ladder_decode(ys, ladder)
+                want = _ladder_decode_per_pair_reference(ys, ladder)
+                assert got.shape == (len(sel),)
+                assert np.array_equal(got, want)
