@@ -16,6 +16,7 @@ sample, which keeps grids like 2520x2520 virtual.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -111,7 +112,11 @@ def _first_seen(idx: np.ndarray, n: int):
 
 
 class ArraySource(SignalSource):
-    """Source backed by a dense in-memory array."""
+    """Source backed by a dense array, in memory or memory-mapped.
+
+    The array is never copied: reads gather only the cells they return,
+    so a read-only memory map stays read-only and mostly unread.
+    """
 
     def __init__(self, signal: np.ndarray):
         signal = np.asarray(signal, dtype=np.complex128)
@@ -124,10 +129,10 @@ class ArraySource(SignalSource):
         return complex(self._signal[a, b])
 
     def _grid(self, rows, cols):
-        return self._signal[np.ix_(rows, cols)].copy()
+        return self._signal[np.ix_(rows, cols)]
 
     def _points(self, aa, bb):
-        return self._signal[aa, bb].copy()
+        return self._signal[aa, bb]
 
 
 def _progression_length(idx: np.ndarray, n: int) -> int:
@@ -155,14 +160,23 @@ class ExponentialSumSource(SignalSource):
     axes): for each pair of row and column progressions the coefficients
     are folded into the aliased bin grid, and one batched inverse FFT
     reproduces exactly the requested spatial samples.
+
+    The coefficients are held in sorted (u, v) order, whatever order the
+    spectrum's entries were inserted in: the fold's bincount sums in that
+    order, so equal spectra give bit-identical samples.
     """
 
     def __init__(self, spectrum: SparseSpectrum):
         super().__init__(spectrum.dims)
-        items = spectrum.items()
-        self._u = np.array([u for (u, _), _ in items], dtype=np.int64)
-        self._v = np.array([v for (_, v), _ in items], dtype=np.int64)
-        self._vals = np.array([val for _, val in items], dtype=np.complex128)
+        k = len(spectrum)
+        uv = np.fromiter(itertools.chain.from_iterable(spectrum.entries),
+                         dtype=np.int64, count=2 * k).reshape(k, 2)
+        vals = np.fromiter(spectrum.entries.values(), dtype=np.complex128,
+                           count=k)
+        order = np.lexsort((uv[:, 1], uv[:, 0]))
+        self._u = uv[order, 0]
+        self._v = uv[order, 1]
+        self._vals = vals[order]
 
     def _value(self, a, b):
         ph = (a * self._u / self.dims.nx + b * self._v / self.dims.ny)
@@ -314,32 +328,45 @@ class Instance:
 
 def gen_instance(dims: Dims, k: int, value_model=VALUE_UNIT_CIRCLE,
                  seed: int = 0) -> Instance:
-    """Plants k coefficients at uniform support without replacement."""
+    """Plants k coefficients at uniform support without replacement.
+
+    The seed fixes one random stream, read in this order: the support (one
+    rng.choice, sorted by flat index u * ny + v), then each coefficient's
+    value in support order. Per coefficient a value model takes one uniform
+    (unit circle), two normals re, im (complex gaussian) or two integers,
+    magnitude index then phase index (constellation). The draws are made
+    as whole arrays but read the stream exactly as one call per value
+    would, so an instance is bit-identical to the per-entry generator's.
+    Values that come out exactly 0 are dropped.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > dims.n:
         raise KTooLarge("k = %d exceeds grid size %d" % (k, dims.n))
     rng = np.random.default_rng(seed)
-    flat = rng.choice(dims.n, size=k, replace=False)
-    entries = {}
-    for t in np.sort(flat):
-        u, v = divmod(int(t), dims.ny)
-        entries[(u, v)] = _draw_value(rng, value_model)
-    truth = SparseSpectrum.from_entries(dims, entries)
+    u, v = np.divmod(np.sort(rng.choice(dims.n, size=k, replace=False)),
+                     dims.ny)
+    vals = _draw_values(rng, value_model, k)
+    keep = vals != 0
+    entries = dict(zip(zip(u[keep].tolist(), v[keep].tolist()),
+                       vals[keep].tolist()))
+    truth = SparseSpectrum(dims, entries)
     return Instance(dims, truth, ExponentialSumSource(truth), seed)
 
 
-def _draw_value(rng: np.random.Generator, value_model) -> complex:
+def _draw_values(rng: np.random.Generator, value_model, k: int) -> np.ndarray:
     if isinstance(value_model, Constellation):
-        mags = value_model.magnitudes()
-        mag = mags[rng.integers(len(mags))]
-        phase = 2 * np.pi * rng.integers(value_model.m2) / value_model.m2
-        return mag * np.exp(1j * phase)
+        mags = np.array(value_model.magnitudes())
+        # one (magnitude, phase) index pair per coefficient, interleaved
+        idx = rng.integers([len(mags), value_model.m2] * k).reshape(k, 2)
+        phase = 2 * np.pi * idx[:, 1] / value_model.m2
+        return mags[idx[:, 0]] * np.exp(1j * phase)
     if value_model == VALUE_UNIT_CIRCLE:
-        return np.exp(2j * np.pi * rng.uniform())
+        return np.exp(2j * np.pi * rng.uniform(size=k))
     if value_model == VALUE_COMPLEX_GAUSSIAN:
-        re, im = rng.normal(size=2)
-        return complex(re, im) / math.sqrt(2)
+        # re and im each divided by sqrt(2), as CPython's complex / float does
+        pairs = rng.normal(size=(k, 2)) / math.sqrt(2)
+        return pairs.view(np.complex128)[:, 0]
     raise ValueError("unknown value model %r" % (value_model,))
 
 

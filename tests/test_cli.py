@@ -1,13 +1,17 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+import ffast2d.cli
 from ffast2d.cli import (BENCH_FAMILIES, bench_rows, main, read_signal_bin,
                          read_spectrum_csv, sweep_rows, write_signal_bin,
                          write_spectrum_csv)
 from ffast2d.core import (Dims, FfastError, RobustParams, SparseSpectrum,
                           build_plan, plan_to_json)
+from ffast2d.oracle import ArraySource, gen_instance, synthesize_dense
+from ffast2d.peeler import decode
 
 WORKED_ENTRIES = "1,3,7,0;2,0,3,0;2,3,5,0;4,0,1,0"
 
@@ -48,22 +52,60 @@ def test_signal_bin_round_trip(tmp_path):
     x = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
     path = str(tmp_path / "sig.bin")
     write_signal_bin(path, x)
-    assert np.array_equal(read_signal_bin(path), x)
+    got = read_signal_bin(path)
+    assert np.array_equal(got, x)
+    assert got.shape == (5, 7) and not got.flags.writeable
     raw = (tmp_path / "sig.bin").read_bytes()
     assert raw[:4] == b"FF2D"
     assert len(raw) == 16 + 5 * 7 * 16
 
 
-def test_signal_bin_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(FfastError):
-        read_signal_bin(str(bad))
-    short = tmp_path / "short.bin"
-    short.write_bytes(b"FF2D" + (4).to_bytes(4, "little") * 2
-                      + (0).to_bytes(4, "little") + b"\x00" * 8)
-    with pytest.raises(FfastError):
-        read_signal_bin(str(short))
+def _signal_header(nx, ny, magic=b"FF2D"):
+    return magic + nx.to_bytes(4, "little") + ny.to_bytes(4, "little") \
+        + (0).to_bytes(4, "little")
+
+
+def test_signal_bin_rejects_garbage(tmp_path, capsys):
+    plan_path = _write_plan(tmp_path)
+    whole = b"\x00" * (36 * 16)
+    cases = {
+        "bad": b"NOPE" + b"\x00" * 12,
+        "wrong_magic": _signal_header(6, 6, b"FF3D") + whole,
+        "tiny": b"FF2D\x06",
+        "short": _signal_header(4, 4) + b"\x00" * 8,
+        "header_only": _signal_header(6, 6),
+        "truncated": _signal_header(6, 6) + whole[:-16],
+        "oversized": _signal_header(6, 6) + whole + b"\x00" * 16,
+        "ragged": _signal_header(6, 6) + whole + b"\x00" * 3,
+        "empty_grid": _signal_header(0, 6),
+    }
+    for name, raw in cases.items():
+        path = tmp_path / (name + ".bin")
+        path.write_bytes(raw)
+        with pytest.raises(FfastError):
+            read_signal_bin(str(path))
+        assert main(["decode", "--plan", plan_path,
+                     "--signal", str(path)]) == 1, name
+        assert "ffast2d: error:" in capsys.readouterr().err, name
+
+
+def test_decode_from_memory_map_equals_in_memory(tmp_path):
+    dims = Dims(60, 60)
+    plan = build_plan(dims, [16, 9, 25], "very-sparse")
+    signal = synthesize_dense(gen_instance(dims, 6, seed=2).truth)
+    path = str(tmp_path / "sig.bin")
+    write_signal_bin(path, signal)
+    mm = read_signal_bin(path)
+    mapped = ArraySource(mm)
+    # the source reads the map itself, never a copy of it
+    assert np.shares_memory(mapped._signal, mm)
+    assert not mapped._signal.flags.writeable
+    a = decode(mapped, plan)
+    b = decode(ArraySource(signal), plan)
+    assert a.status == b.status == "success"
+    assert a.spectrum.entries == b.spectrum.entries
+    assert (a.samples_touched, a.distinct_cells, a.bin_stats) == (
+        b.samples_touched, b.distinct_cells, b.bin_stats)
 
 
 def test_gen_writes_deterministic_truth(tmp_path):
@@ -162,7 +204,7 @@ def test_decode_rejects_non_finite_signal(tmp_path, capsys):
                  "--entries", WORKED_ENTRIES,
                  "--out-truth", str(tmp_path / "truth.csv"),
                  "--out-signal", sig_path]) == 0
-    x = read_signal_bin(sig_path)
+    x = np.array(read_signal_bin(sig_path))
     x[0, 0] = np.nan
     write_signal_bin(sig_path, x)
     plan_path = _write_plan(tmp_path)
@@ -214,6 +256,18 @@ def test_sweep_cli_deterministic_modulo_time(tmp_path):
     assert strip_time(a.read_text()) == strip_time(b.read_text())
     header = a.read_text().splitlines()[0]
     assert header == "k,eta,trials,successes,success_rate,mean_samples,mean_time_ms"
+
+
+def test_sweep_times_only_the_decode(monkeypatch):
+    def slow_match(got, want, tol=1e-6):
+        time.sleep(0.02)
+        return True
+
+    monkeypatch.setattr(ffast2d.cli, "_spectra_match", slow_match)
+    rows = sweep_rows(Dims(30, 30), [4, 9, 25], "less-sparse",
+                      k_list=[1], trials=3, seed=0)
+    assert rows[0]["successes"] == 3
+    assert rows[0]["mean_time_ms"] < 20
 
 
 def test_sweep_robust_mode():

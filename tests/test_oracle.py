@@ -229,6 +229,75 @@ def test_gen_instance_gaussian_model():
     assert abs(np.mean(powers) - 1.0) < 0.25
 
 
+def _gen_instance_per_entry_reference(dims, k, value_model, seed):
+    # the per-entry generator, kept as the oracle: one draw call per value,
+    # the truth through from_entries, the source arrays from sorted items
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(dims.n, size=k, replace=False)
+    entries = {}
+    for t in np.sort(flat):
+        u, v = divmod(int(t), dims.ny)
+        if isinstance(value_model, Constellation):
+            mags = value_model.magnitudes()
+            mag = mags[rng.integers(len(mags))]
+            phase = 2 * np.pi * rng.integers(value_model.m2) / value_model.m2
+            val = mag * np.exp(1j * phase)
+        elif value_model == "unit-circle":
+            val = np.exp(2j * np.pi * rng.uniform())
+        else:
+            re, im = rng.normal(size=2)
+            val = complex(re, im) / math.sqrt(2)
+        entries[(u, v)] = val
+    truth = SparseSpectrum.from_entries(dims, entries)
+    items = truth.items()
+    arrays = (np.array([u for (u, _), _ in items], dtype=np.int64),
+              np.array([v for (_, v), _ in items], dtype=np.int64),
+              np.array([val for _, val in items], dtype=np.complex128))
+    return truth, arrays
+
+
+GEN_MODELS = ["unit-circle", "complex-gaussian",
+              Constellation(rho=20.0, m1=2, m2=8),
+              Constellation(rho=3.0, m1=1, m2=1)]
+GEN_SIZES = [((4, 5), 0), ((4, 5), 1), ((4, 5), 20), ((1, 31), 9),
+             ((60, 60), 50), ((280, 280), 3821)]
+
+
+@pytest.mark.parametrize("model", GEN_MODELS, ids=str)
+def test_gen_instance_matches_per_entry_reference(model):
+    for (nx, ny), k in GEN_SIZES:
+        dims = Dims(nx, ny)
+        for seed in range(5):
+            inst = gen_instance(dims, k, model, seed)
+            truth, (u, v, vals) = _gen_instance_per_entry_reference(
+                dims, k, model, seed)
+            assert list(inst.truth.entries.items()) == list(
+                truth.entries.items())
+            assert all(type(a) is int and type(b) is int
+                       and type(val) is complex
+                       for (a, b), val in inst.truth.entries.items())
+            assert np.array_equal(inst.source._u, u)
+            assert np.array_equal(inst.source._v, v)
+            assert np.array_equal(inst.source._vals, vals)
+            assert inst.source._u.dtype == np.int64
+            assert inst.source._vals.dtype == np.complex128
+
+
+def test_expsum_source_sorts_shuffled_entries():
+    inst = gen_instance(Dims(60, 60), 200, "complex-gaussian", seed=8)
+    items = list(inst.truth.entries.items())
+    order = np.random.default_rng(4).permutation(len(items))
+    shuffled = SparseSpectrum(inst.dims, dict(items[i] for i in order))
+    assert list(shuffled.entries) != list(inst.truth.entries)
+    src = ExponentialSumSource(shuffled)
+    assert np.array_equal(src._u, inst.source._u)
+    assert np.array_equal(src._v, inst.source._v)
+    assert np.array_equal(src._vals, inst.source._vals)
+    rows, cols = np.arange(0, 60, 4), np.arange(0, 60, 6)
+    assert np.array_equal(src.sample_grid(rows, cols),
+                          inst.source.sample_grid(rows, cols))
+
+
 def test_noise_is_deterministic_per_cell():
     inner = ExponentialSumSource(SparseSpectrum.from_entries(Dims(16, 16), {}))
     noisy = NoisySource(inner, sigma2=1.0, seed=42)
