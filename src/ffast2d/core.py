@@ -114,10 +114,12 @@ class RobustParams:
             raise ValueError("chains_per_dim must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
-        if self.gamma_zero <= 0 or self.gamma_single <= 0:
-            raise ValueError("gamma_zero and gamma_single must be positive")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError("noise_var must be finite and >= 0")
+        if not (0 < self.gamma_zero < math.inf
+                and 0 < self.gamma_single < math.inf):
+            raise ValueError("gamma_zero and gamma_single must be positive "
+                             "and finite")
 
 
 def bit_levels(n: int) -> int:
@@ -422,24 +424,45 @@ def plan_to_json(plan: FfastPlan, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
+def _plan_number(value, integral: bool = True):
+    """A number read from a plan document, checked rather than cast.
+
+    int() would read 2.9 as 2 and True as 1, and fail with OverflowError
+    on 1e400 (inf once parsed), so all three are refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PlanError("expected a number, got %r" % (value,))
+    if integral:
+        if isinstance(value, float) and not value.is_integer():
+            raise PlanError("expected an integer, got %r" % (value,))
+        return int(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise PlanError("expected a finite number, got %r" % (value,))
+    return value
+
+
 def plan_from_json(text: str) -> FfastPlan:
     try:
         doc = json.loads(text)
-        dims = Dims(int(doc["nx"]), int(doc["ny"]))
+        dims = Dims(_plan_number(doc["nx"]), _plan_number(doc["ny"]))
         mode = doc.get("mode", MODE_NOISELESS)
         params = None
         if "robust" in doc:
             r = doc["robust"]
             params = RobustParams(
-                chains_per_dim=int(r["chains_per_dim"]), reps=int(r["reps"]),
-                noise_var=float(r["noise_var"]), gamma_zero=float(r["gamma_zero"]),
-                gamma_single=float(r["gamma_single"]), seed=int(r.get("seed", 0)))
+                chains_per_dim=_plan_number(r["chains_per_dim"]),
+                reps=_plan_number(r["reps"]),
+                noise_var=_plan_number(r["noise_var"], integral=False),
+                gamma_zero=_plan_number(r["gamma_zero"], integral=False),
+                gamma_single=_plan_number(r["gamma_single"], integral=False),
+                seed=_plan_number(r.get("seed", 0)))
         stages = tuple(
             StageConfig.from_subsampling(
-                dims, int(s["sub_x"]), int(s["sub_y"]),
-                [(int(a), int(b)) for a, b in s["shifts"]])
+                dims, _plan_number(s["sub_x"]), _plan_number(s["sub_y"]),
+                [(_plan_number(a), _plan_number(b)) for a, b in s["shifts"]])
             for s in doc["stages"])
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PlanError("malformed plan document: %s" % exc) from exc
     plan = FfastPlan(dims, stages, mode, params)
     plan.validate()

@@ -198,6 +198,23 @@ def test_decode_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("old,new", [('"sub_x": 3', '"sub_x": 3.5'),
+                                     ('"nx": 6', '"nx": 1e400')],
+                         ids=["sub_x-3.5", "nx-1e400"])
+def test_decode_rejects_plan_numbers_int_would_cast(tmp_path, capsys, old,
+                                                     new):
+    # int() read sub_x 3.5 as 3, the worked plan's own value, and raised
+    # OverflowError on 1e400
+    text = plan_to_json(build_plan(Dims(6, 6), [9, 4]))
+    assert old in text
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(text.replace(old, new, 1))
+    assert main(["decode", "--plan", str(plan_path), "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "ffast2d: error:" in err
+    assert "Traceback" not in err
+
+
 def test_decode_rejects_non_finite_signal(tmp_path, capsys):
     sig_path = str(tmp_path / "sig.bin")
     assert main(["gen", "--nx", "6", "--ny", "6",

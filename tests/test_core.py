@@ -148,6 +148,11 @@ def test_robust_params_validation():
         RobustParams(noise_var=-1.0)
     with pytest.raises(ValueError):
         RobustParams(gamma_zero=0.0)
+    # a NaN noise_var used to pass `< 0` and be written into plan files
+    for bad in ({"noise_var": float("nan")}, {"noise_var": float("inf")},
+                {"gamma_single": float("nan")}, {"gamma_zero": float("inf")}):
+        with pytest.raises(ValueError):
+            RobustParams(**bad)
 
 
 def test_robust_plan_chain_counts():
@@ -177,11 +182,52 @@ def test_plan_json_round_trip_robust():
     assert plan_from_json(plan_to_json(plan)) == plan
 
 
+def _plan_text(nx=6, sub_x=3, shift=(1, 0)):
+    # the 6x6 [9, 4] plan's document with one field replaced; json writes
+    # inf and nan as the literals Infinity and NaN, and 1e400 parses as inf
+    doc = json.loads(plan_to_json(build_plan(Dims(6, 6), [9, 4])))
+    doc["nx"] = nx
+    doc["stages"][0]["sub_x"] = sub_x
+    doc["stages"][0]["shifts"][1] = list(shift)
+    return json.dumps(doc).replace("Infinity", "1e400")
+
+
+def _robust_plan_text(**robust):
+    plan = build_plan(Dims(60, 60), [16, 9, 25], regime="very-sparse",
+                      mode="robust",
+                      robust_params=RobustParams(noise_var=0.5))
+    doc = json.loads(plan_to_json(plan))
+    doc["robust"].update(robust)
+    return json.dumps(doc)
+
+
+def test_plan_json_integral_floats_read_as_ints():
+    doc = json.loads(plan_to_json(build_plan(Dims(6, 6), [9, 4])))
+    doc["nx"] = 6.0
+    doc["stages"][0]["shifts"][1] = [1.0, 0]
+    assert plan_from_json(json.dumps(doc)) == build_plan(Dims(6, 6), [9, 4])
+
+
 @pytest.mark.parametrize("text", [
     "not json",
     "{}",
     '{"nx": 6, "ny": 6, "stages": []}',
     '{"nx": 6, "ny": 6, "mode": "noiseless", "stages": [{"sub_x": 4}]}',
+    # numbers int() would have truncated, cast or overflowed on; each
+    # fraction or boolean casts to the value its plan holds
+    pytest.param(_plan_text(sub_x=3.5), id="sub_x-3.5"),
+    pytest.param(_plan_text(shift=[1.7, 0]), id="shift-1.7"),
+    pytest.param(_plan_text(nx=1e400), id="nx-1e400"),
+    pytest.param(_plan_text(nx=float("nan")), id="nx-nan"),
+    pytest.param(_plan_text(nx="6"), id="nx-string"),
+    pytest.param(_plan_text(shift=[1, 0, 0]), id="shift-triple"),
+    pytest.param(_robust_plan_text(noise_var=float("inf")), id="noise_var-inf"),
+    pytest.param(_robust_plan_text(noise_var=10 ** 400),
+                 id="noise_var-10e400"),
+    pytest.param(_robust_plan_text(reps=1.5), id="reps-1.5"),
+    pytest.param(_robust_plan_text(chains_per_dim=True),
+                 id="chains_per_dim-true"),
+    pytest.param(_robust_plan_text(gamma_zero=True), id="gamma_zero-true"),
 ])
 def test_plan_json_malformed(text):
     with pytest.raises(PlanError):

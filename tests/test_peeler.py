@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -105,22 +108,49 @@ def test_ratio_test_recovers_every_location(nx, ny):
                          + [(280, [25, 64, 49], 3821, 0)])
 def test_peel_reclassifies_only_touched_bins(monkeypatch, nx, factors, k, seed):
     # a worklist peeler classifies every bin once, then re-classifies a bin
-    # only after a peel lands in it: at most one column per stage per peel
+    # only after a peel lands in it: at most one column per stage per peel.
+    # Columns are counted at the classifier peel_stacks is handed, which
+    # both the scalar and the whole-array ratio test sit behind.
     columns = []
-    scan = peeler._ratio_scan
+    peel = peeler.peel_stacks
 
-    def counting_scan(cols, *args):
-        columns.append(cols.shape[1])
-        return scan(cols, *args)
+    def counting_peel(stacks, plan, classify, *args):
+        def counting_classify(si, idx, cols):
+            columns.append(cols.shape[1])
+            return classify(si, idx, cols)
+        return peel(stacks, plan, counting_classify, *args)
 
-    monkeypatch.setattr(peeler, "_ratio_scan", counting_scan)
+    monkeypatch.setattr(peeler, "peel_stacks", counting_peel)
     dims = Dims(nx, nx)
     plan = build_plan(dims, factors, "less-sparse")
     events = []
     decode(gen_instance(dims, k, seed=seed).source, plan, trace=events.append)
     assert events
+    assert columns[:len(plan.stages)] == plan.bin_counts
     bound = sum(plan.bin_counts) + len(plan.stages) * len(events)
     assert sum(columns) <= bound
+    if nx == 280:
+        reclassified = columns[len(plan.stages):]
+        assert max(reclassified) >= peeler.WHOLE_ARRAY_BATCH
+
+
+@pytest.mark.parametrize("nx,factors,k,seed",
+                         [(60, [16, 9, 25], 60, seed) for seed in range(3)]
+                         + [(280, [25, 64, 49], 3821, 0)])
+def test_whole_array_batches_decode_as_scalar(monkeypatch, nx, factors, k,
+                                              seed):
+    dims = Dims(nx, nx)
+    plan = build_plan(dims, factors, "less-sparse")
+    source = gen_instance(dims, k, seed=seed).source
+    shipped = decode(source, plan)
+    monkeypatch.setattr(peeler, "WHOLE_ARRAY_BATCH", sum(plan.bin_counts) + 1)
+    scalar = decode(source, plan)
+    got, want = shipped.spectrum.items(), scalar.spectrum.items()
+    assert list(got) == list(want)
+    assert shipped.status == scalar.status
+    assert shipped.bin_stats == scalar.bin_stats
+    assert shipped.peel_iterations == scalar.peel_iterations
+    assert shipped.samples_touched == scalar.samples_touched
 
 
 def _vectorized_ratio_scan(cols, dims, tol_angle, tol_residual, zero_thresh):
@@ -162,18 +192,31 @@ def test_ratio_scan_matches_vectorized_reference(nx, ny):
             col[0] = 0.0
         cols.append(col)
     cols = np.array(cols).T
-    nonzero, single, uu, vv, vals = peeler._ratio_scan(
-        cols, dims, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL, 1e-9)
     ref_nonzero, ref_single, ref_u, ref_v = _vectorized_ratio_scan(
         cols, dims, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL, 1e-9)
-    assert np.array_equal(nonzero, ref_nonzero)
-    assert np.array_equal(single, ref_single)
-    assert single.any() and (nonzero & ~single).any() and (~nonzero).any()
-    if nx > 1:
-        assert np.array_equal(uu[single], ref_u[single])
-    if ny > 1:
-        assert np.array_equal(vv[single], ref_v[single])
-    assert np.array_equal(vals, cols[0])
+    scans = [scan(cols, dims, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL, 1e-9)
+             for scan in (peeler._ratio_scan, peeler._ratio_scan_batch)]
+    for nonzero, single, uu, vv, vals in scans:
+        assert np.array_equal(nonzero, ref_nonzero)
+        assert np.array_equal(single, ref_single)
+        assert single.any() and (nonzero & ~single).any() and (~nonzero).any()
+        if nx > 1:
+            assert np.array_equal(uu[single], ref_u[single])
+        if ny > 1:
+            assert np.array_equal(vv[single], ref_v[single])
+        assert not uu[~single].any() and not vv[~single].any()
+        assert np.array_equal(vals, cols[0])
+    for scalar, batch in zip(*scans):
+        assert scalar.dtype == batch.dtype
+        assert np.array_equal(scalar, batch)
+
+
+def test_unit_roots_hold_cmath_exp_values():
+    # the whole-array ratio test reads its residual roots from this table
+    # where the scalar loop calls cmath.exp
+    for n in (2, 12, 18, 31, 35, 40, 56, 280, 1225, 2520):
+        assert peeler._unit_roots(n).tolist() == [
+            cmath.exp(2j * math.pi * (loc / n)) for loc in range(n)]
 
 
 def _worked_plan_and_source():
