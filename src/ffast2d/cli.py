@@ -28,11 +28,11 @@ import time
 import numpy as np
 
 from .core import (Constellation, Dims, FfastError, MODE_NOISELESS,
-                   MODE_ROBUST, REGIME_VERY_SPARSE, RobustParams,
-                   STATUS_SUCCESS, SparseSpectrum, build_plan, plan_eta,
-                   plan_from_json, plan_sample_budget, plan_to_json)
+                   MODE_ROBUST, REGIME_LESS_SPARSE, REGIME_VERY_SPARSE,
+                   RobustParams, STATUS_SUCCESS, SparseSpectrum, build_plan,
+                   plan_eta, plan_from_json, plan_sample_budget, plan_to_json)
 from .oracle import (VALUE_COMPLEX_GAUSSIAN, VALUE_UNIT_CIRCLE, ArraySource,
-                     ExponentialSumSource, add_noise, gen_instance,
+                     ExponentialSumSource, NoisySource, gen_instance,
                      synthesize_dense)
 from .peeler import decode
 from .robust import robust_decode
@@ -65,6 +65,18 @@ def write_spectrum_csv(path: str, spectrum: SparseSpectrum) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _add_row(entries: dict, row: str, where: str) -> None:
+    """Adds one 'u,v,re,im' row to entries; a location may appear once."""
+    parts = row.split(",")
+    if len(parts) != 4:
+        raise FfastError("%s: expected 4 fields u,v,re,im" % where)
+    loc = (int(parts[0]), int(parts[1]))
+    if loc in entries:
+        raise FfastError("%s: location (%d, %d) appears twice"
+                         % ((where,) + loc))
+    entries[loc] = complex(float(parts[2]), float(parts[3]))
+
+
 def read_spectrum_csv(path: str, dims: Dims) -> SparseSpectrum:
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -73,14 +85,8 @@ def read_spectrum_csv(path: str, dims: Dims) -> SparseSpectrum:
             raise FfastError("%s: expected header 'u,v,re,im', got %r"
                              % (path, header))
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise FfastError("%s:%d: expected 4 fields" % (path, lineno))
-            u, v = int(parts[0]), int(parts[1])
-            entries[(u, v)] = complex(float(parts[2]), float(parts[3]))
+            if line.strip():
+                _add_row(entries, line.strip(), "%s:%d" % (path, lineno))
     return SparseSpectrum.from_entries(dims, entries)
 
 
@@ -118,14 +124,8 @@ def _parse_int_list(text: str) -> list[int]:
 def _parse_entries(text: str, dims: Dims) -> SparseSpectrum:
     entries = {}
     for group in text.split(";"):
-        group = group.strip()
-        if not group:
-            continue
-        parts = group.split(",")
-        if len(parts) != 4:
-            raise FfastError("--entries groups need 4 fields: %r" % group)
-        entries[(int(parts[0]), int(parts[1]))] = complex(float(parts[2]),
-                                                          float(parts[3]))
+        if group.strip():
+            _add_row(entries, group.strip(), "--entries")
     return SparseSpectrum.from_entries(dims, entries)
 
 
@@ -212,7 +212,7 @@ def cmd_decode(args) -> int:
     source, truth = _decode_source(args, plan)
     sigma2 = _decode_sigma2(args, truth)
     if sigma2 > 0:
-        source = add_noise(source, sigma2, args.noise_seed)
+        source = NoisySource(source, sigma2, args.noise_seed)
     start = time.perf_counter()
     if plan.mode == MODE_ROBUST:
         report = robust_decode(source, plan, min_magnitude=args.min_magnitude)
@@ -251,7 +251,7 @@ def sweep_rows(dims: Dims, factors, regime: str, k_list, trials: int,
             trial_index += 1
             source = inst.source
             if sigma2 > 0:
-                source = add_noise(source, sigma2, seed + trial_index)
+                source = NoisySource(source, sigma2, seed + trial_index)
             start = time.perf_counter()
             if mode == MODE_ROBUST:
                 report = robust_decode(source, plan,
@@ -287,29 +287,27 @@ def _rows_to_csv(rows, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _robust_params(args, seed: int = 0) -> RobustParams | None:
+    if args.mode != MODE_ROBUST:
+        return None
+    return RobustParams(chains_per_dim=args.chains, reps=args.reps,
+                        noise_var=args.sigma2 or 0.0, seed=seed)
+
+
 def cmd_plan(args) -> int:
-    dims = Dims(args.nx, args.ny)
-    params = None
-    if args.mode == MODE_ROBUST:
-        params = RobustParams(chains_per_dim=args.chains, reps=args.reps,
-                              noise_var=args.sigma2 or 0.0,
-                              seed=args.design_seed)
-    plan = build_plan(dims, _parse_int_list(args.factors), args.regime,
-                      args.mode, params)
+    plan = build_plan(Dims(args.nx, args.ny), _parse_int_list(args.factors),
+                      args.regime, args.mode,
+                      _robust_params(args, args.design_seed))
     _emit(plan_to_json(plan, indent=2), args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    dims = Dims(args.nx, args.ny)
-    params = None
-    if args.mode == MODE_ROBUST:
-        params = RobustParams(chains_per_dim=args.chains, reps=args.reps,
-                              noise_var=args.sigma2 or 0.0)
-    rows = sweep_rows(dims, _parse_int_list(args.factors), args.regime,
-                      _parse_int_list(args.k_list), args.trials, args.seed,
-                      mode=args.mode, sigma2=args.sigma2 or 0.0,
-                      value_model=_value_model(args), robust_params=params,
+    rows = sweep_rows(Dims(args.nx, args.ny), _parse_int_list(args.factors),
+                      args.regime, _parse_int_list(args.k_list), args.trials,
+                      args.seed, mode=args.mode, sigma2=args.sigma2 or 0.0,
+                      value_model=_value_model(args),
+                      robust_params=_robust_params(args),
                       min_magnitude=args.min_magnitude)
     _emit(_rows_to_csv(rows, ["k", "eta", "trials", "successes",
                               "success_rate", "mean_samples", "mean_time_ms"]),
@@ -380,6 +378,19 @@ def _add_value_model_flags(p) -> None:
                    help="constellation phase levels")
 
 
+def _add_plan_flags(p) -> None:
+    p.add_argument("--nx", type=int, required=True)
+    p.add_argument("--ny", type=int, required=True)
+    p.add_argument("--factors", required=True, help="comma-separated")
+    p.add_argument("--regime", default=REGIME_LESS_SPARSE,
+                   choices=[REGIME_LESS_SPARSE, REGIME_VERY_SPARSE])
+    p.add_argument("--mode", default=MODE_NOISELESS,
+                   choices=[MODE_NOISELESS, MODE_ROBUST])
+    p.add_argument("--sigma2", type=float, help="per-sample noise variance")
+    p.add_argument("--chains", type=int, default=1)
+    p.add_argument("--reps", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ffast2d",
                      description="Sparse 2D DFT via subsampling and peeling")
@@ -388,17 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan",
                        help="build a subsampling plan and write it as JSON")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny", type=int, required=True)
-    p.add_argument("--factors", required=True, help="comma-separated")
-    p.add_argument("--regime", default="less-sparse",
-                   choices=["less-sparse", "very-sparse"])
-    p.add_argument("--mode", default=MODE_NOISELESS,
-                   choices=[MODE_NOISELESS, MODE_ROBUST])
-    p.add_argument("--sigma2", type=float,
-                   help="robust mode: per-sample noise variance")
-    p.add_argument("--chains", type=int, default=1)
-    p.add_argument("--reps", type=int, default=1)
+    _add_plan_flags(p)
     p.add_argument("--design-seed", type=int, default=0,
                    help="robust mode: shift design seed")
     p.add_argument("--out", help="plan JSON path (default stdout)")
@@ -435,19 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep",
                        help="success rate vs sparsity")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny", type=int, required=True)
-    p.add_argument("--factors", required=True, help="comma-separated")
-    p.add_argument("--regime", default="less-sparse",
-                   choices=["less-sparse", "very-sparse"])
-    p.add_argument("--mode", default=MODE_NOISELESS,
-                   choices=[MODE_NOISELESS, MODE_ROBUST])
+    _add_plan_flags(p)
     p.add_argument("--k-list", required=True, help="comma-separated")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--chains", type=int, default=1)
-    p.add_argument("--reps", type=int, default=1)
     p.add_argument("--min-magnitude", type=float, default=0.0)
     _add_value_model_flags(p)
     p.add_argument("--out", help="CSV path (default stdout)")

@@ -15,9 +15,11 @@ weight exp(2j*pi*(u*s1/nx + v*s2/ny)).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 MODE_NOISELESS = "noiseless"
 MODE_ROBUST = "robust"
@@ -83,9 +85,6 @@ class Constellation:
     def magnitudes(self) -> list[float]:
         r = math.sqrt(self.rho)
         return [r / 2 + j * r / self.m1 for j in range(self.m1 + 1)]
-
-    def phases(self) -> list[float]:
-        return [2 * math.pi * j / self.m2 for j in range(self.m2)]
 
     def mean_power(self) -> float:
         # average |value|^2 over the magnitude levels (phases are unit modulus)
@@ -209,11 +208,10 @@ class FfastPlan:
                 raise PlanError("shift (%d, %d) not reduced mod (%d, %d)"
                                 % (s1, s2, dims.nx, dims.ny))
         if self.mode == MODE_NOISELESS:
-            if s.shifts != noiseless_shifts(dims):
+            want = noiseless_shifts(dims)
+            if s.shifts != want:
                 raise PlanError("noiseless stages use the shift list %r, got %r"
-                                % (noiseless_shifts(dims), s.shifts))
-            if len(set(s.shifts)) != len(s.shifts):
-                raise PlanError("duplicate shifts in %r" % (s.shifts,))
+                                % (want, s.shifts))
         else:
             if self.robust_params is not None:
                 want = robust_chain_count(dims, self.robust_params)
@@ -233,26 +231,26 @@ class FfastPlan:
         if all(b >= 1 and n % b == 0 and n // b >= 2 for b in very):
             candidates.append([n // b for b in very])
         for factors in candidates:
-            if _factor_list_ok(factors, n):
+            try:
+                _check_factors(factors, n)
                 return
+            except PlanError:
+                pass
         raise NoValidSplit(
             "stage bin counts %r do not realize a co-prime factor split of %d"
             % (self.bin_counts, n))
 
 
-def _factor_list_ok(factors: list[int], n: int) -> bool:
-    if any(f < 2 for f in factors):
-        return False
-    prod = 1
-    for f in factors:
-        prod *= f
-    if prod != n:
-        return False
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if math.gcd(factors[i], factors[j]) != 1:
-                return False
-    return True
+def _check_factors(factors: list[int], n: int) -> None:
+    """Factors must be >= 2, pairwise co-prime and multiply to n."""
+    if min(factors) < 2:
+        raise NoValidSplit("factors must all be >= 2, got %r" % (factors,))
+    for a, b in combinations(factors, 2):
+        if math.gcd(a, b) != 1:
+            raise NotCoprime("factors %d and %d share a divisor" % (a, b))
+    if math.prod(factors) != n:
+        raise ProductMismatch("factor product %d != nx*ny = %d"
+                              % (math.prod(factors), n))
 
 
 @dataclass
@@ -271,6 +269,9 @@ class SparseSpectrum:
                 raise ValueError("location (%d, %d) outside dims (%d, %d)"
                                  % (u, v, dims.nx, dims.ny))
             val = complex(val)
+            if not cmath.isfinite(val):
+                raise ValueError("non-finite value %r at (%d, %d)"
+                                 % (val, u, v))
             if val != 0:
                 out[(u, v)] = val
         return cls(dims, out)
@@ -324,18 +325,7 @@ def build_plan(dims: Dims, factors, regime: str = REGIME_LESS_SPARSE,
     factors = [int(f) for f in factors]
     if len(factors) < 2:
         raise PlanError("need at least 2 factors, got %r" % (factors,))
-    if any(f < 2 for f in factors):
-        raise NoValidSplit("factors must all be >= 2, got %r" % (factors,))
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if math.gcd(factors[i], factors[j]) != 1:
-                raise NotCoprime("factors %d and %d share a divisor"
-                                 % (factors[i], factors[j]))
-    prod = 1
-    for f in factors:
-        prod *= f
-    if prod != dims.n:
-        raise ProductMismatch("factor product %d != nx*ny = %d" % (prod, dims.n))
+    _check_factors(factors, dims.n)
     if regime not in (REGIME_LESS_SPARSE, REGIME_VERY_SPARSE):
         raise PlanError("unknown regime %r" % (regime,))
     if mode == MODE_ROBUST:
@@ -462,7 +452,8 @@ def plan_from_json(text: str) -> FfastPlan:
                 dims, _plan_number(s["sub_x"]), _plan_number(s["sub_y"]),
                 [(_plan_number(a), _plan_number(b)) for a, b in s["shifts"]])
             for s in doc["stages"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise PlanError("malformed plan document: %s" % exc) from exc
     plan = FfastPlan(dims, stages, mode, params)
     plan.validate()

@@ -1,4 +1,4 @@
-"""Chinese-remainder reconstruction and co-prime index remapping.
+"""Co-prime index remapping: a 2D DFT as a relabeled 1D DFT.
 
 For co-prime grid extents the 2D DFT is a relabeled 1D DFT of length
 n = nx * ny: reading the grid along the diagonal t -> (t mod nx, t mod ny)
@@ -11,7 +11,6 @@ and vice versa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,55 +18,8 @@ from .core import Dims, FfastError, FfastPlan, MODE_ROBUST, SparseSpectrum
 from .oracle import SignalSource
 
 
-class ResidueOutOfRange(FfastError, ValueError):
-    """A residue is negative or not smaller than its modulus."""
-
-
 class DimsNotCoprime(FfastError, ValueError):
     """Grid extents share a common divisor, so the diagonal map is not 1:1."""
-
-
-@dataclass(frozen=True)
-class CrtBasis:
-    """Pairwise co-prime moduli with precomputed reconstruction weights.
-
-    weights[i] = M_i * (M_i^{-1} mod m_i) with M_i = n / m_i, so
-    weights[i] = 1 mod m_i and = 0 mod every other modulus.
-    """
-
-    moduli: tuple[int, ...]
-    n: int
-    weights: tuple[int, ...]
-
-    @classmethod
-    def from_moduli(cls, moduli) -> "CrtBasis":
-        moduli = tuple(int(m) for m in moduli)
-        if not moduli or any(m < 1 for m in moduli):
-            raise ValueError("moduli must be positive, got %r" % (moduli,))
-        for i in range(len(moduli)):
-            for j in range(i + 1, len(moduli)):
-                if math.gcd(moduli[i], moduli[j]) != 1:
-                    raise DimsNotCoprime("moduli %d and %d share a divisor"
-                                         % (moduli[i], moduli[j]))
-        n = math.prod(moduli)
-        weights = tuple((n // m) * pow(n // m, -1, m) % n if m > 1 else 0
-                        for m in moduli)
-        return cls(moduli, n, weights)
-
-
-def crt_reconstruct(basis: CrtBasis, residues) -> int:
-    """The unique a in [0, n) with a = residues[i] mod moduli[i]."""
-    residues = list(residues)
-    if len(residues) != len(basis.moduli):
-        raise ResidueOutOfRange("expected %d residues, got %d"
-                                % (len(basis.moduli), len(residues)))
-    total = 0
-    for r, m, w in zip(residues, basis.moduli, basis.weights):
-        r = int(r)
-        if not 0 <= r < m:
-            raise ResidueOutOfRange("residue %d out of range for modulus %d" % (r, m))
-        total += r * w
-    return total % basis.n
 
 
 def _require_coprime(dims: Dims) -> None:
@@ -76,13 +28,8 @@ def _require_coprime(dims: Dims) -> None:
                              % (dims.nx, dims.ny))
 
 
-def diag_freq_index(u: int, v: int, dims: Dims) -> int:
-    """1D frequency holding 2D coefficient (u, v): (u*ny + v*nx) mod n."""
-    return (u * dims.ny + v * dims.nx) % dims.n
-
-
 def diag_freq_pair(f: int, dims: Dims) -> tuple[int, int]:
-    """Inverse of diag_freq_index."""
+    """The 2D coefficient (u, v) whose 1D frequency (u*ny + v*nx) mod n is f."""
     u = f * pow(dims.ny, -1, dims.nx) % dims.nx if dims.nx > 1 else 0
     v = f * pow(dims.nx, -1, dims.ny) % dims.ny if dims.ny > 1 else 0
     return u, v
@@ -114,17 +61,14 @@ def good_thomas_reverse(spectrum1d: np.ndarray, dims: Dims) -> np.ndarray:
 class DiagonalView(SignalSource):
     """1-row view of a co-prime 2D source: view[0][t] = x[t mod nx][t mod ny].
 
-    Its normalized 1D DFT equals the 2D DFT up to diag_freq_index
-    relabeling, so the general decoder runs on it unchanged.
+    Its normalized 1D DFT equals the 2D DFT up to the relabeling
+    f = (u*ny + v*nx) mod n, so the general decoder runs on it unchanged.
     """
 
     def __init__(self, inner: SignalSource):
         _require_coprime(inner.dims)
         super().__init__(Dims(1, inner.dims.n))
         self.inner = inner
-
-    def _value(self, a, b):
-        return self.inner.sample(b % self.inner.dims.nx, b % self.inner.dims.ny)
 
     def _grid(self, rows, cols):
         d = self.inner.dims
@@ -150,7 +94,7 @@ def coprime_sparse_dft(source: SignalSource, dims: Dims,
 
     view = DiagonalView(source)
     if plan1d.mode == MODE_ROBUST:
-        report = robust_decode(view, plan1d, plan1d.robust_params)
+        report = robust_decode(view, plan1d)
     else:
         report = decode(view, plan1d)
     remapped = {diag_freq_pair(f, dims): val

@@ -182,15 +182,3 @@ def run_frontend(plan: FfastPlan, source) -> list[np.ndarray]:
                             % (source.dims, plan.dims))
     return [stage_observations(source, plan.dims, stage)
             for stage in plan.stages]
-
-
-def alias_bin(dims: Dims, stage: StageConfig, u: int, v: int) -> tuple[int, int]:
-    """Bin that coefficient (u, v) folds into at this stage."""
-    return u % stage.bins_x, v % stage.bins_y
-
-
-def chain_weights(dims: Dims, stage: StageConfig, u: int, v: int) -> np.ndarray:
-    """Per-chain phase factors multiplying X[u][v] inside its bin."""
-    s = np.asarray(stage.shifts, dtype=np.float64)
-    ph = u * s[:, 0] / dims.nx + v * s[:, 1] / dims.ny
-    return np.exp(2j * np.pi * ph)

@@ -5,7 +5,7 @@ analysis sum X[u][v] = (1/n) * sum_{a,b} x[a][b] e^{-2j*pi*(a*u/nx + b*v/ny)}
 directly from exponent matrices, independent of any FFT routine.
 
 Signal sources expose the sampling contract used by the front end: every
-read goes through sample / sample_grid / sample_points and bumps an access
+read goes through sample_grid or sample_points and bumps an access
 counter, so decoders can prove how many samples they touched. A grid read
 is charged every cell it returns, repeats included, but evaluates each
 distinct row and column only once. The sparse
@@ -35,34 +35,23 @@ class KTooLarge(FfastError, ValueError):
 class SignalSource:
     """Base sampling interface with access accounting.
 
-    Subclasses implement _value (one sample) and may override _grid /
-    _points with vectorized versions. The public accessors bump
-    access_count by exactly the number of samples served. _grid only ever
-    sees distinct rows and distinct columns: sample_grid evaluates the
-    distinct ones and gathers the repeats back.
+    Subclasses implement two hooks on reduced int64 indices: _grid(rows,
+    cols), the (rows, cols) product, and _points(aa, bb), the paired cells.
+    The public readers sample_grid and sample_points bump access_count by
+    exactly the number of samples served. _grid only ever sees distinct
+    rows and distinct columns: sample_grid evaluates the distinct ones and
+    gathers the repeats back.
     """
 
     def __init__(self, dims: Dims):
         self.dims = dims
         self.access_count = 0
 
-    def _value(self, a: int, b: int) -> complex:
+    def _grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        out = np.empty((len(rows), len(cols)), dtype=np.complex128)
-        for i, a in enumerate(rows):
-            for j, b in enumerate(cols):
-                out[i, j] = self._value(int(a), int(b))
-        return out
-
     def _points(self, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-        return np.array([self._value(int(a), int(b)) for a, b in zip(aa, bb)],
-                        dtype=np.complex128)
-
-    def sample(self, a: int, b: int) -> complex:
-        self.access_count += 1
-        return self._value(a % self.dims.nx, b % self.dims.ny)
+        raise NotImplementedError
 
     def sample_grid(self, rows, cols) -> np.ndarray:
         """Samples the cartesian product rows x cols, shape (rows, cols).
@@ -125,9 +114,6 @@ class ArraySource(SignalSource):
         super().__init__(Dims(signal.shape[0], signal.shape[1]))
         self._signal = signal
 
-    def _value(self, a, b):
-        return complex(self._signal[a, b])
-
     def _grid(self, rows, cols):
         return self._signal[np.ix_(rows, cols)]
 
@@ -177,10 +163,6 @@ class ExponentialSumSource(SignalSource):
         self._u = uv[order, 0]
         self._v = uv[order, 1]
         self._vals = vals[order]
-
-    def _value(self, a, b):
-        ph = (a * self._u / self.dims.nx + b * self._v / self.dims.ny)
-        return complex(np.sum(self._vals * np.exp(2j * np.pi * ph)))
 
     def _points(self, aa, bb):
         ph = (np.outer(aa, self._u) / self.dims.nx
@@ -234,7 +216,7 @@ def _noise_at(seed: int, flat: np.ndarray, sigma2: float) -> np.ndarray:
 
 
 class NoisySource(SignalSource):
-    """Wraps a source and adds i.i.d. complex gaussian noise per cell.
+    """Observation model y = x + z, z ~ CN(0, sigma2) i.i.d. per cell.
 
     The noise is a pure function of (seed, a, b): re-reading a cell returns
     the identical value, with no per-cell state kept anywhere. Reads go
@@ -251,15 +233,7 @@ class NoisySource(SignalSource):
         self.seed = int(seed)
 
     def _flat(self, aa, bb):
-        return (np.asarray(aa, dtype=np.int64) * self.dims.ny
-                + np.asarray(bb, dtype=np.int64))
-
-    def _value(self, a, b):
-        clean = self.inner.sample(a, b)
-        if self.sigma2 == 0:
-            return clean
-        z = _noise_at(self.seed, self._flat([a], [b]), self.sigma2)
-        return clean + complex(z[0])
+        return aa * self.dims.ny + bb
 
     def _grid(self, rows, cols):
         clean = self.inner.sample_grid(rows, cols)
@@ -273,11 +247,6 @@ class NoisySource(SignalSource):
         if self.sigma2 == 0:
             return clean
         return clean + _noise_at(self.seed, self._flat(aa, bb), self.sigma2)
-
-
-def add_noise(source: SignalSource, sigma2: float, seed: int) -> NoisySource:
-    """Observation model y = x + z with z ~ CN(0, sigma2) per sample."""
-    return NoisySource(source, sigma2, seed)
 
 
 def dense_dft_2d(signal: np.ndarray) -> np.ndarray:

@@ -99,27 +99,14 @@ class BinClass:
     value: complex = 0j
 
     @classmethod
-    def zero_ton(cls) -> "BinClass":
-        return cls(KIND_ZERO_TON)
-
-    @classmethod
-    def singleton(cls, location, value) -> "BinClass":
-        return cls(KIND_SINGLETON, (int(location[0]), int(location[1])),
-                   complex(value))
-
-    @classmethod
-    def multi_ton(cls) -> "BinClass":
-        return cls(KIND_MULTI_TON)
-
-    @classmethod
     def from_scan(cls, scan) -> "BinClass":
         """The class of the single column a classifier was given."""
         nonzero, single, uu, vv, vals = scan
         if not nonzero[0]:
-            return cls.zero_ton()
+            return cls(KIND_ZERO_TON)
         if not single[0]:
-            return cls.multi_ton()
-        return cls.singleton((uu[0], vv[0]), vals[0])
+            return cls(KIND_MULTI_TON)
+        return cls(KIND_SINGLETON, (int(uu[0]), int(vv[0])), complex(vals[0]))
 
 
 def observation_zero_threshold(stacks) -> float:
@@ -153,8 +140,7 @@ def ratio_estimates(values, dims: Dims) -> tuple[float, float]:
     return est_u, est_v
 
 
-def _ratio_scan(cols: np.ndarray, dims: Dims, tol_angle: float,
-                tol_residual: float, zero_thresh: float):
+def _ratio_scan(cols: np.ndarray, dims: Dims, zero_thresh: float):
     """Ratio test on (C, m) noiseless-layout columns, one column per bin.
 
     Each chain after the anchor is shifted along one dimension only, so it
@@ -182,9 +168,9 @@ def _ratio_scan(cols: np.ndarray, dims: Dims, tol_angle: float,
             est = math.atan2(ratio.imag, ratio.real) * n / (2 * math.pi) % n
             snapped = round(est)
             loc = snapped % n
-            if (abs(est - snapped) > tol_angle
+            if (abs(est - snapped) > DEFAULT_TOL_ANGLE
                     or abs(y - anchor * cmath.exp(2j * math.pi * (loc / n)))
-                    > tol_residual * mag):
+                    > DEFAULT_TOL_RESIDUAL * mag):
                 break
             locs.append(loc)
         else:
@@ -196,8 +182,7 @@ def _ratio_scan(cols: np.ndarray, dims: Dims, tol_angle: float,
     return nonzero, single, uu, vv, cols[0].copy()
 
 
-def _ratio_scan_batch(cols: np.ndarray, dims: Dims, tol_angle: float,
-                      tol_residual: float, zero_thresh: float):
+def _ratio_scan_batch(cols: np.ndarray, dims: Dims, zero_thresh: float):
     """_ratio_scan as whole-array expressions, with the same results.
 
     numpy's complex multiply and complex abs round differently from
@@ -228,19 +213,16 @@ def _ratio_scan_batch(cols: np.ndarray, dims: Dims, tol_angle: float,
         wr, wi = root.real, root.imag
         # |y - anchor * root|
         residual = np.hypot(yr - (ar * wr - ai * wi), yi - (ar * wi + ai * wr))
-        single &= ((np.abs(est - snapped) <= tol_angle)
-                   & (residual <= tol_residual * mag))
+        single &= ((np.abs(est - snapped) <= DEFAULT_TOL_ANGLE)
+                   & (residual <= DEFAULT_TOL_RESIDUAL * mag))
         locs.append(loc)
     uu = np.where(single, locs[0], 0) if dims.nx > 1 else np.zeros(m, np.int64)
     vv = np.where(single, locs[-1], 0) if dims.ny > 1 else np.zeros(m, np.int64)
     return nonzero, single, uu, vv, cols[0].copy()
 
 
-def ratio_test(obs: BinObservation, dims: Dims,
-               tol_angle: float = DEFAULT_TOL_ANGLE,
-               tol_residual: float = DEFAULT_TOL_RESIDUAL,
-               zero_thresh: float = 0.0) -> BinClass:
-    """Classifies one noiseless-layout observation."""
+def ratio_test(obs: BinObservation, dims: Dims) -> BinClass:
+    """Classifies one noiseless-layout observation; any nonzero chain is live."""
     expected = noiseless_shifts(dims)
     if tuple(obs.shifts) != expected:
         raise WrongShiftLayout("expected chain shifts %r, got %r"
@@ -249,8 +231,7 @@ def ratio_test(obs: BinObservation, dims: Dims,
         raise WrongShiftLayout("expected %d chain values, got %d"
                                % (len(expected), len(obs.values)))
     cols = np.asarray(obs.values, dtype=np.complex128)[:, None]
-    return BinClass.from_scan(_ratio_scan(cols, dims, tol_angle,
-                                          tol_residual, zero_thresh))
+    return BinClass.from_scan(_ratio_scan(cols, dims, 0.0))
 
 
 @lru_cache(maxsize=32)
@@ -373,8 +354,6 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
 
 
 def decode(source, plan: FfastPlan, max_rounds: int | None = None,
-           tol_angle: float = DEFAULT_TOL_ANGLE,
-           tol_residual: float = DEFAULT_TOL_RESIDUAL,
            trace=None) -> DecodeReport:
     """Front end plus peeling: the full sparse transform, noiseless mode.
 
@@ -395,7 +374,7 @@ def decode(source, plan: FfastPlan, max_rounds: int | None = None,
         # the first pass (idx is a slice) stays scalar: see the module doc
         scan = (_ratio_scan_batch if not isinstance(idx, slice)
                 and cols.shape[1] >= WHOLE_ARRAY_BATCH else _ratio_scan)
-        return scan(cols, plan.dims, tol_angle, tol_residual, zero_thresh)
+        return scan(cols, plan.dims, zero_thresh)
 
     return peel_stacks(stacks, plan, classify, touched, max_rounds,
                        zero_thresh, trace)

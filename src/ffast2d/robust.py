@@ -43,9 +43,6 @@ from .frontend import BinObservation, _frozen, run_frontend, stage_lattices
 from .peeler import (BinClass, WrongShiftLayout, _unit_roots,
                      observation_zero_threshold, peel_stacks)
 
-__all__ = ["RobustParams", "design_shifts", "robust_classify", "robust_decode",
-           "estimate_noise_variance"]
-
 # a singleton's least-squares value must stand this many standard
 # deviations of its noise above zero
 VALUE_SIGMAS = 4.0
@@ -229,8 +226,7 @@ def _robust_scan(cols: np.ndarray, pos: np.ndarray, chains: _StageChains,
 
 
 def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
-                    noise_var: float | None = None,
-                    zero_thresh: float | None = None) -> BinClass:
+                    noise_var: float | None = None) -> BinClass:
     """Classifies one robust-layout observation vector.
 
     A lone vector carries no lattice structure, so its chains count as
@@ -242,23 +238,19 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
         raise WrongShiftLayout("expected %d chain values, got %d"
                                % (len(obs.shifts), ys.shape[0]))
     sigma2 = params.noise_var if noise_var is None else noise_var
-    if zero_thresh is None:
-        zero_thresh = observation_zero_threshold([ys])
     return BinClass.from_scan(_robust_scan(ys, np.zeros(1, dtype=np.int64),
                                            chains, dims, params, sigma2,
-                                           zero_thresh))
+                                           observation_zero_threshold([ys])))
 
 
-def robust_decode(source, plan: FfastPlan, params: RobustParams | None = None,
-                  min_magnitude: float = 0.0, max_rounds: int | None = None,
-                  trace=None) -> DecodeReport:
+def robust_decode(source, plan: FfastPlan, min_magnitude: float = 0.0,
+                  max_rounds: int | None = None, trace=None) -> DecodeReport:
     """Front end plus peeling with the robust classifier."""
     if plan.mode != MODE_ROBUST:
         raise FfastError("robust_decode() needs a robust-mode plan")
+    params = plan.robust_params
     if params is None:
-        params = plan.robust_params
-    if params is None:
-        raise FfastError("no robust parameters on the plan or the call")
+        raise FfastError("the robust plan carries no robust parameters")
     plan.validate()
     dims = plan.dims
     chains = [_stage_chains(dims, s, params) for s in plan.stages]
@@ -276,22 +268,3 @@ def robust_decode(source, plan: FfastPlan, params: RobustParams | None = None,
 
     return peel_stacks(stacks, plan, classify, touched, max_rounds,
                        max(min_magnitude, zero_thresh), trace)
-
-
-def estimate_noise_variance(source, plan: FfastPlan) -> float:
-    """Bootstrap per-sample noise variance from mostly-empty bins.
-
-    Most bins hold no coefficient, so the median per-plane bin energy is a
-    robust estimate of sigma2 / B; bins below 1.5x the median are averaged
-    for the final figure and rescaled by B. The mean runs over the stage's
-    lattice planes, not its chains; every plane's noise has variance
-    sigma2 / B, so it still estimates sigma2 / B.
-    """
-    stacks = run_frontend(plan, source)
-    per_stage = []
-    for stack, stage in zip(stacks, plan.stages):
-        e = (np.abs(stack) ** 2).mean(axis=0)
-        med = float(np.median(e))
-        quiet = e[e <= 1.5 * med] if med > 0 else e
-        per_stage.append(float(quiet.mean()) * stage.bin_count)
-    return float(np.mean(per_stage))

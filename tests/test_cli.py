@@ -215,6 +215,54 @@ def test_decode_rejects_plan_numbers_int_would_cast(tmp_path, capsys, old,
     assert "Traceback" not in err
 
 
+WORKED_PLAN = plan_to_json(build_plan(Dims(6, 6), [9, 4]))
+LONG_INDEX = "1" * 5000
+
+# (reader, file bytes): every one must end in exit 1 and one error line
+MALFORMED_INPUTS = {
+    "plan-deep-nesting": ("plan", b"[" * 200_000 + b"]" * 200_000),
+    "plan-empty-list": ("plan", b"[]"),
+    "plan-string": ("plan", b'"x"'),
+    "plan-robust-string": ("plan", WORKED_PLAN[:-1].encode()
+                           + b', "robust": "abc"}'),
+    "plan-long-index": ("plan", WORKED_PLAN.replace(
+        '"nx": 6', '"nx": ' + LONG_INDEX).encode()),
+    "plan-bad-utf8": ("plan", b'{"nx": \xff\xfe}'),
+    "truth-inf": ("truth", b"u,v,re,im\n1,1,inf,0\n"),
+    "truth-nan": ("truth", b"u,v,re,im\n1,1,0,nan\n"),
+    "truth-duplicate": ("truth", b"u,v,re,im\n1,1,1,0\n2,2,1,0\n1,1,2,0\n"),
+    "truth-long-index": ("truth", ("u,v,re,im\n%s,0,1,0\n"
+                                   % LONG_INDEX).encode()),
+    "truth-bad-utf8": ("truth", b"u,v,re,im\n1,\xff,1,0\n"),
+    "signal-truncated-header": ("signal", b"FF2D\x06\x00\x00\x00\x06"),
+    "signal-oversized-header": ("signal", b"FF2D" + b"\xff" * 8 + b"\x00" * 4
+                                + b"\x00" * (36 * 16)),
+    "entries-inf": ("entries", b"1,1,inf,0"),
+    "entries-duplicate": ("entries", b"1,1,1,0;1,1,2,0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_cli_readers_refuse_malformed_input(tmp_path, capsys, name):
+    reader, raw = MALFORMED_INPUTS[name]
+    path = tmp_path / "input"
+    path.write_bytes(raw)
+    if reader == "entries":
+        argv = ["gen", "--nx", "6", "--ny", "6", "--entries", raw.decode(),
+                "--out-truth", str(tmp_path / "t.csv")]
+    elif reader == "plan":
+        argv = ["decode", "--plan", str(path), "--k", "1"]
+    else:
+        argv = ["decode", "--plan", _write_plan(tmp_path),
+                "--" + reader, str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ffast2d: error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_decode_rejects_non_finite_signal(tmp_path, capsys):
     sig_path = str(tmp_path / "sig.bin")
     assert main(["gen", "--nx", "6", "--ny", "6",

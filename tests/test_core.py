@@ -23,10 +23,8 @@ def test_dims_rejects_nonpositive(nx, ny):
 
 def test_constellation_levels():
     c = Constellation(rho=4.0, m1=2, m2=4)
-    # sqrt(rho) = 2: magnitudes 1, 2, 3; phases quarter turns
+    # sqrt(rho) = 2: magnitudes 1, 2, 3
     assert c.magnitudes() == pytest.approx([1.0, 2.0, 3.0])
-    assert c.phases() == pytest.approx([0.0, 1.5707963267948966,
-                                        3.141592653589793, 4.71238898038469])
     assert c.mean_power() == pytest.approx(4.0 * (0.25 + 1.0 + 2.25) / 3)
 
 
@@ -87,6 +85,15 @@ def test_build_plan_rejects_shared_divisor():
 def test_build_plan_rejects_product_mismatch():
     with pytest.raises(ProductMismatch):
         build_plan(Dims(6, 6), [4, 5])
+
+
+def test_build_plan_factor_errors_keep_their_order():
+    # a unit factor is reported before a shared divisor, and a shared
+    # divisor before a wrong product
+    with pytest.raises(NoValidSplit):
+        build_plan(Dims(12, 12), [1, 6, 4])
+    with pytest.raises(NotCoprime):
+        build_plan(Dims(12, 12), [6, 4])
 
 
 def test_build_plan_rejects_unit_factor():
@@ -228,6 +235,7 @@ def test_plan_json_integral_floats_read_as_ints():
     pytest.param(_robust_plan_text(chains_per_dim=True),
                  id="chains_per_dim-true"),
     pytest.param(_robust_plan_text(gamma_zero=True), id="gamma_zero-true"),
+    pytest.param("[" * 200_000 + "]" * 200_000, id="deep-nesting"),
 ])
 def test_plan_json_malformed(text):
     with pytest.raises(PlanError):
@@ -241,6 +249,13 @@ def test_sparse_spectrum_drops_zeros_and_range_checks():
     assert s.get(0, 0) == 0
     with pytest.raises(ValueError):
         SparseSpectrum.from_entries(Dims(4, 4), {(4, 0): 1})
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"),
+                                 complex(1.0, float("-inf"))])
+def test_sparse_spectrum_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        SparseSpectrum.from_entries(Dims(4, 4), {(1, 2): bad})
 
 
 def test_plan_eta_requires_positive_k():

@@ -1,56 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
 from ffast2d.core import Dims, SparseSpectrum, build_plan
-from ffast2d.crt import (CrtBasis, DiagonalView, DimsNotCoprime,
-                         ResidueOutOfRange, coprime_sparse_dft,
-                         crt_reconstruct, diag_freq_index, diag_freq_pair,
-                         good_thomas_forward, good_thomas_reverse)
+from ffast2d.crt import (DiagonalView, DimsNotCoprime, coprime_sparse_dft,
+                         diag_freq_pair, good_thomas_forward,
+                         good_thomas_reverse)
 from ffast2d.oracle import (ExponentialSumSource, dense_dft_2d, gen_instance,
                             synthesize_dense)
-
-
-def test_crt_small_example():
-    basis = CrtBasis.from_moduli([3, 4])
-    # brute-force scan is the reference
-    want = next(t for t in range(12) if t % 3 == 1 and t % 4 == 3)
-    assert want == 7
-    assert crt_reconstruct(basis, [1, 3]) == 7
-    assert crt_reconstruct(basis, [0, 0]) == 0
-
-
-def test_crt_weight_invariants():
-    basis = CrtBasis.from_moduli([4, 5, 7])
-    assert basis.n == 140
-    for i, m in enumerate(basis.moduli):
-        assert basis.weights[i] % m == 1
-        for j, other in enumerate(basis.moduli):
-            if j != i:
-                assert basis.weights[i] % other == 0
-
-
-@pytest.mark.parametrize("moduli", [(3, 4), (4, 5, 7), (2, 9, 5, 7)])
-def test_crt_round_trip_exhaustive(moduli):
-    basis = CrtBasis.from_moduli(moduli)
-    for a in range(basis.n):
-        assert crt_reconstruct(basis, [a % m for m in moduli]) == a
-
-
-def test_crt_residue_out_of_range():
-    basis = CrtBasis.from_moduli([3, 4])
-    with pytest.raises(ResidueOutOfRange):
-        crt_reconstruct(basis, [3, 0])
-    with pytest.raises(ResidueOutOfRange):
-        crt_reconstruct(basis, [-1, 0])
-    with pytest.raises(ResidueOutOfRange):
-        crt_reconstruct(basis, [1, 2, 3])
-
-
-def test_crt_rejects_shared_divisor():
-    with pytest.raises(DimsNotCoprime):
-        CrtBasis.from_moduli([6, 4])
 
 
 def test_diag_readout_cells():
@@ -78,10 +34,10 @@ def test_diag_readout_one_row_is_identity():
 
 def test_diag_freq_maps_invert():
     dims = Dims(4, 5)
-    assert diag_freq_index(2, 3, dims) == (2 * 5 + 3 * 4) % 20
+    assert diag_freq_pair((2 * 5 + 3 * 4) % 20, dims) == (2, 3)
     for f in range(20):
         u, v = diag_freq_pair(f, dims)
-        assert diag_freq_index(u, v, dims) == f
+        assert (u * 5 + v * 4) % 20 == f
     pairs = {diag_freq_pair(f, dims) for f in range(20)}
     assert len(pairs) == 20
 

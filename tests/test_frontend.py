@@ -5,10 +5,9 @@ import pytest
 
 from ffast2d.core import (Constellation, Dims, RobustParams, SparseSpectrum,
                           StageConfig, build_plan, plan_sample_budget)
-from ffast2d.crt import DiagonalView, diag_freq_index
-from ffast2d.frontend import (NonFiniteSample, ShapeMismatch, alias_bin,
-                              chain_weights, run_frontend, stage_lattices,
-                              stage_observations)
+from ffast2d.crt import DiagonalView
+from ffast2d.frontend import (NonFiniteSample, ShapeMismatch, run_frontend,
+                              stage_lattices, stage_observations)
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
                             SignalSource, alias_sum_oracle, dense_dft_2d,
                             gen_instance)
@@ -149,17 +148,6 @@ def test_run_frontend_worked_bin_values():
     assert np.max(np.abs(stack[:, 1, 0])) < 1e-9
 
 
-def test_alias_bin_and_chain_weights():
-    dims = Dims(6, 6)
-    stage = _stage_6x6()
-    assert alias_bin(dims, stage, 4, 0) == (0, 0)
-    assert np.allclose(chain_weights(dims, stage, 4, 0),
-                       [1.0, np.exp(2j * np.pi * 4 / 6), 1.0], atol=1e-12)
-    assert np.allclose(chain_weights(dims, stage, 2, 3),
-                       [1.0, np.exp(2j * np.pi * 2 / 6),
-                        np.exp(2j * np.pi * 3 / 6)], atol=1e-12)
-
-
 def test_frontend_linearity():
     dims = Dims(12, 12)
     rng = np.random.default_rng(4)
@@ -196,10 +184,10 @@ def _criterion_8_plan():
 
 def _diagonal_case():
     # 35x36 is co-prime: its 1-row view has the 1260-point spectrum
-    # X1[0][diag_freq_index(u, v)] = X[u][v]
+    # X1[0][(u * ny + v * nx) mod n] = X[u][v]
     dims = Dims(35, 36)
     inst = gen_instance(dims, 7, seed=4)
-    flat = {(0, diag_freq_index(u, v, dims)): val
+    flat = {(0, (u * dims.ny + v * dims.nx) % dims.n): val
             for (u, v), val in inst.truth.items()}
     truth = SparseSpectrum.from_entries(Dims(1, dims.n), flat)
     plan = build_plan(Dims(1, dims.n), [35, 36], regime="very-sparse")

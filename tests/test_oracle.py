@@ -6,7 +6,7 @@ import pytest
 
 from ffast2d.core import Constellation, Dims, SparseSpectrum, StageConfig
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, KTooLarge,
-                            NoisySource, _first_seen, add_noise,
+                            NoisySource, SignalSource, _first_seen,
                             alias_sum_oracle, dense_dft_2d, gen_instance,
                             instance_snr, synthesize_dense)
 
@@ -93,7 +93,7 @@ def test_expsum_sample_matches_compensated_sum():
                  for (u, v), val in truth.items()]
         want = complex(math.fsum(t.real for t in terms),
                        math.fsum(t.imag for t in terms))
-        assert abs(src.sample(a, b) - want) < 1e-12
+        assert abs(src.sample_points([a], [b])[0] - want) < 1e-12
     assert src.access_count == 5
 
 
@@ -180,14 +180,23 @@ def test_sample_grid_with_repeats_matches_separate_reads(rows, cols):
     assert noisy.access_count == charge
     distinct = len(set(rows % 24)) * len(set(cols % 18))
     assert inner.access_count == distinct
-    cells = np.array([[noisy.sample(int(a), int(b)) for b in cols]
+    cells = np.array([[noisy.sample_points([a], [b])[0] for b in cols]
                       for a in rows])
     assert np.array_equal(got, cells)
 
 
+def test_base_source_has_no_read_of_its_own():
+    # a source implements the two hooks; the base class has no fallback
+    src = SignalSource(Dims(2, 3))
+    with pytest.raises(NotImplementedError):
+        src.sample_grid([0], [1])
+    with pytest.raises(NotImplementedError):
+        src.sample_points([0], [1])
+
+
 def test_array_source_access_accounting():
     src = ArraySource(np.ones((4, 5)))
-    src.sample(0, 0)
+    src.sample_points([0], [0])
     src.sample_grid([0, 2], [1, 3, 4])
     src.sample_points([0, 1], [1, 2])
     assert src.access_count == 1 + 6 + 2
@@ -214,8 +223,8 @@ def test_gen_instance_edge_cases():
 
 def test_gen_instance_constellation_membership():
     model = Constellation(rho=20.0, m1=2, m2=8)
-    points = [mag * cmath.exp(1j * ph)
-              for mag in model.magnitudes() for ph in model.phases()]
+    points = [mag * cmath.exp(2j * math.pi * j / model.m2)
+              for mag in model.magnitudes() for j in range(model.m2)]
     inst = gen_instance(Dims(60, 60), 40, value_model=model, seed=2)
     for _, val in inst.truth.items():
         assert min(abs(val - p) for p in points) < 1e-12
@@ -301,20 +310,20 @@ def test_expsum_source_sorts_shuffled_entries():
 def test_noise_is_deterministic_per_cell():
     inner = ExponentialSumSource(SparseSpectrum.from_entries(Dims(16, 16), {}))
     noisy = NoisySource(inner, sigma2=1.0, seed=42)
-    first = noisy.sample(3, 7)
-    second = noisy.sample(3, 7)
+    first = noisy.sample_points([3], [7])[0]
+    second = noisy.sample_points([3], [7])[0]
     assert first == second
     rows, cols = np.arange(0, 16, 4), np.arange(0, 16, 4)
     grid = noisy.sample_grid(rows, cols)
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
-            assert grid[i, j] == noisy.sample(int(a), int(b))
+            assert grid[i, j] == noisy.sample_points([a], [b])[0]
 
 
 def test_noise_differs_across_seeds():
     inner = ExponentialSumSource(SparseSpectrum.from_entries(Dims(8, 8), {}))
-    a = NoisySource(inner, sigma2=1.0, seed=1).sample(2, 2)
-    b = NoisySource(inner, sigma2=1.0, seed=2).sample(2, 2)
+    a = NoisySource(inner, sigma2=1.0, seed=1).sample_points([2], [2])[0]
+    b = NoisySource(inner, sigma2=1.0, seed=2).sample_points([2], [2])[0]
     assert a != b
 
 
@@ -333,7 +342,7 @@ def test_noise_moments():
 def test_add_noise_zero_sigma_is_identity():
     truth = SparseSpectrum.from_entries(Dims(6, 6), WORKED_6X6)
     src = ExponentialSumSource(truth)
-    noisy = add_noise(src, 0.0, seed=3)
+    noisy = NoisySource(src, 0.0, seed=3)
     rows, cols = np.arange(0, 6, 3), np.arange(0, 6, 3)
     assert np.array_equal(noisy.sample_grid(rows, cols),
                           src.sample_grid(rows, cols))

@@ -8,7 +8,7 @@ from ffast2d import peeler
 from ffast2d.core import (Dims, FfastError, SparseSpectrum, build_plan,
                           noiseless_shifts, plan_sample_budget,
                           STATUS_RESIDUAL_LEFT, STATUS_SUCCESS)
-from ffast2d.frontend import BinObservation, NonFiniteSample, chain_weights
+from ffast2d.frontend import BinObservation, NonFiniteSample
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, gen_instance,
                             synthesize_dense)
 from ffast2d.peeler import (BinClass, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL,
@@ -17,6 +17,11 @@ from ffast2d.peeler import (BinClass, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL,
                             ratio_test)
 
 WORKED_6X6 = {(1, 3): 7.0, (2, 0): 3.0, (2, 3): 5.0, (4, 0): 1.0}
+
+
+def _weights(shifts, dims, u, v):
+    s = np.asarray(shifts, dtype=float)
+    return np.exp(2j * np.pi * (u * s[:, 0] / dims.nx + v * s[:, 1] / dims.ny))
 
 
 def _obs(values, dims, bin=(0, 0), stage=0):
@@ -62,16 +67,10 @@ def test_ratio_test_near_integer_collision_is_multiton():
     # two coefficients whose mixture still lands near an integer in u but
     # fails the per-chain residual check
     dims = Dims(6, 6)
-    w1 = chain_weights(dims, _stage(dims), 2, 3)
-    w2 = chain_weights(dims, _stage(dims), 2, 0)
+    w1 = _weights(noiseless_shifts(dims), dims, 2, 3)
+    w2 = _weights(noiseless_shifts(dims), dims, 2, 0)
     got = ratio_test(_obs(5.0 * w1 + 0.05 * w2, dims, bin=(0, 1)), dims)
     assert got.kind == KIND_MULTI_TON
-
-
-def _stage(dims):
-    # chain weights only depend on dims and shifts, so any legal split works
-    from ffast2d.core import StageConfig
-    return StageConfig.from_subsampling(dims, 1, 1, noiseless_shifts(dims))
 
 
 def test_ratio_test_rejects_wrong_layout():
@@ -91,12 +90,11 @@ def test_ratio_test_rejects_wrong_layout():
 def test_ratio_test_recovers_every_location(nx, ny):
     dims = Dims(nx, ny)
     shifts = noiseless_shifts(dims)
-    stage = _stage(dims)
     rng = np.random.default_rng(nx * ny)
     for u in range(nx):
         for v in range(ny):
             val = complex(rng.normal(), rng.normal()) + 3.0
-            values = val * chain_weights(dims, stage, u, v)
+            values = val * _weights(shifts, dims, u, v)
             got = ratio_test(BinObservation(0, (0, 0), values, shifts), dims)
             assert got.kind == KIND_SINGLETON
             assert got.location == (u, v)
@@ -173,17 +171,17 @@ def _vectorized_ratio_scan(cols, dims, tol_angle, tol_residual, zero_thresh):
 @pytest.mark.parametrize("nx,ny", [(12, 18), (1, 31), (31, 1)])
 def test_ratio_scan_matches_vectorized_reference(nx, ny):
     dims = Dims(nx, ny)
-    stage = _stage(dims)
+    shifts = noiseless_shifts(dims)
     rng = np.random.default_rng(nx + 100 * ny)
     cols = []
     for _ in range(400):
         kind = rng.integers(5)
         u, v = int(rng.integers(nx)), int(rng.integers(ny))
         val = complex(rng.normal(), rng.normal())
-        col = val * chain_weights(dims, stage, u, v)
+        col = val * _weights(shifts, dims, u, v)
         if kind == 1:      # collision
-            col = col + complex(rng.normal(), rng.normal()) * chain_weights(
-                dims, stage, int(rng.integers(nx)), int(rng.integers(ny)))
+            col = col + complex(rng.normal(), rng.normal()) * _weights(
+                shifts, dims, int(rng.integers(nx)), int(rng.integers(ny)))
         elif kind == 2:    # empty, or a residue at the zero floor
             col = col * rng.choice([0.0, 1e-10, 1e-9])
         elif kind == 3:    # perturbed around the residual tolerance
@@ -194,7 +192,7 @@ def test_ratio_scan_matches_vectorized_reference(nx, ny):
     cols = np.array(cols).T
     ref_nonzero, ref_single, ref_u, ref_v = _vectorized_ratio_scan(
         cols, dims, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL, 1e-9)
-    scans = [scan(cols, dims, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL, 1e-9)
+    scans = [scan(cols, dims, 1e-9)
              for scan in (peeler._ratio_scan, peeler._ratio_scan_batch)]
     for nonzero, single, uu, vv, vals in scans:
         assert np.array_equal(nonzero, ref_nonzero)

@@ -5,12 +5,11 @@ from ffast2d.core import (Constellation, Dims, RobustParams, SparseSpectrum,
                           build_plan, robust_chain_count, STATUS_SUCCESS)
 from ffast2d.frontend import BinObservation, NonFiniteSample, run_frontend
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
-                            add_noise, gen_instance, synthesize_dense)
+                            gen_instance, synthesize_dense)
 from ffast2d.peeler import (KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
                             WrongShiftLayout, decode, ratio_test)
 from ffast2d.robust import (_ladder_decode, _stage_chains, design_shifts,
-                            estimate_noise_variance, robust_classify,
-                            robust_decode)
+                            robust_classify, robust_decode)
 
 
 def _weights(shifts, dims, u, v):
@@ -117,7 +116,8 @@ def test_robust_singleton_location_under_noise():
     params = RobustParams(chains_per_dim=1, reps=5, noise_var=1.0)
     shifts = design_shifts(dims, params, seed=1)
     model = Constellation(rho=10 ** 1.3, m1=2, m2=8)
-    mags, phases = model.magnitudes(), model.phases()
+    mags = model.magnitudes()
+    phases = [2 * np.pi * j / model.m2 for j in range(model.m2)]
     sarr = np.asarray(shifts, dtype=float)
     rng = np.random.default_rng(7)
     hits = 0
@@ -192,7 +192,7 @@ def test_robust_decode_noisy_support_and_values():
     model = Constellation(rho=1.0, m1=2, m2=8)
     for seed in range(5):
         inst = gen_instance(Dims(60, 60), 8, value_model=model, seed=seed)
-        noisy = add_noise(inst.source, 0.01, seed=seed + 50)
+        noisy = NoisySource(inst.source, 0.01, seed=seed + 50)
         report = robust_decode(noisy, plan, min_magnitude=0.25)
         got = dict(report.spectrum.items())
         want = dict(inst.truth.items())
@@ -204,11 +204,11 @@ def test_robust_decode_noisy_support_and_values():
 
 
 def test_robust_decode_zero_noise_matches_noiseless_decoder():
-    robust_plan, params = _robust_plan_60(sigma2=0.0)
+    robust_plan, _ = _robust_plan_60(sigma2=0.0)
     plain_plan = build_plan(Dims(60, 60), [16, 9, 25], regime="very-sparse")
     for seed in range(5):
         inst = gen_instance(Dims(60, 60), 10, seed=seed)
-        a = robust_decode(inst.source, robust_plan, params)
+        a = robust_decode(inst.source, robust_plan)
         b = decode(inst.source, plain_plan)
         assert a.status == b.status == STATUS_SUCCESS
         ga, gb = dict(a.spectrum.items()), dict(b.spectrum.items())
@@ -281,23 +281,6 @@ def test_robust_decode_magnitude_filter():
                            min_magnitude=10.0)
     assert len(report.spectrum) == 0
     assert report.status != STATUS_SUCCESS
-
-
-def test_estimate_noise_variance():
-    # needs bins >> k so the median bin is signal-free; the trimmed mean
-    # clips the upper tail, so allow a generous band around the truth
-    plan = build_plan(Dims(60, 60), [16, 9, 25], regime="less-sparse",
-                      mode="robust",
-                      robust_params=RobustParams(reps=3, noise_var=2.0, seed=5))
-    model = Constellation(rho=400.0, m1=2, m2=8)
-    for seed in range(3):
-        inst = gen_instance(Dims(60, 60), 5, value_model=model, seed=seed)
-        noisy = add_noise(inst.source, 2.0, seed=seed + 9)
-        est = estimate_noise_variance(noisy, plan)
-        assert abs(est - 2.0) / 2.0 < 0.25
-    quiet = add_noise(gen_instance(Dims(60, 60), 0, seed=0).source, 2.0, seed=1)
-    est0 = estimate_noise_variance(quiet, plan)
-    assert abs(est0 - 2.0) / 2.0 < 0.25
 
 
 def _criterion_8_setup():
