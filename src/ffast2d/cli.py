@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import struct
 import sys
@@ -33,7 +34,7 @@ from .core import (Constellation, Dims, FfastError, MODE_NOISELESS,
                    plan_eta, plan_from_json, plan_sample_budget, plan_to_json)
 from .oracle import (VALUE_COMPLEX_GAUSSIAN, VALUE_UNIT_CIRCLE, ArraySource,
                      ExponentialSumSource, NoisySource, gen_instance,
-                     synthesize_dense)
+                     mean_power, synthesize_dense)
 from .peeler import decode
 from .robust import robust_decode
 
@@ -195,6 +196,16 @@ def _decode_source(args, plan):
     return ExponentialSumSource(truth), truth
 
 
+def _check_flag(flag: str, value, at_least=None) -> None:
+    """Refuses a NaN or infinite flag value, or one below at_least."""
+    if value is None:
+        return
+    if not math.isfinite(value):
+        raise FfastError("%s must be a finite number, got %r" % (flag, value))
+    if at_least is not None and value < at_least:
+        raise FfastError("%s must be >= %r, got %r" % (flag, at_least, value))
+
+
 def _decode_sigma2(args, truth) -> float:
     if args.sigma2 is not None:
         return args.sigma2
@@ -202,11 +213,13 @@ def _decode_sigma2(args, truth) -> float:
         return 0.0
     if not truth or not len(truth):
         raise FfastError("--snr-db needs a truth spectrum to scale against")
-    mean_power = float(np.mean([abs(v) ** 2 for _, v in truth.items()]))
-    return mean_power / 10 ** (args.snr_db / 10)
+    return mean_power(truth) / 10 ** (args.snr_db / 10)
 
 
 def cmd_decode(args) -> int:
+    _check_flag("--sigma2", args.sigma2, 0.0)
+    _check_flag("--snr-db", args.snr_db)
+    _check_flag("--min-magnitude", args.min_magnitude, 0.0)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = plan_from_json(fh.read())
     source, truth = _decode_source(args, plan)
@@ -303,6 +316,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_flag("--sigma2", args.sigma2, 0.0)
+    _check_flag("--min-magnitude", args.min_magnitude, 0.0)
     rows = sweep_rows(Dims(args.nx, args.ny), _parse_int_list(args.factors),
                       args.regime, _parse_int_list(args.k_list), args.trials,
                       args.seed, mode=args.mode, sigma2=args.sigma2 or 0.0,

@@ -11,7 +11,11 @@ is charged every cell it returns, repeats included, but evaluates each
 distinct row and column only once. The sparse
 exponential-sum source evaluates Eq-style synthesis
 x[a][b] = sum_t X_t e^{+2j*pi*(a*u_t/nx + b*v_t/ny)} lazily in O(k) per
-sample, which keeps grids like 2520x2520 virtual.
+sample, which keeps grids like 2520x2520 virtual. Its phases come from
+exact unit-root tables. A grid read of at most DIRECT_SYNTHESIS_MAX
+(2^16) rows x cols x k terms is one matrix product of row and column
+phases; a larger read of full progressions, as the front end makes them,
+is folded onto its bin grid and inverse transformed.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Constellation, Dims, FfastError, SparseSpectrum, StageConfig
+from .roots import unit_roots
 
 VALUE_UNIT_CIRCLE = "unit-circle"
 VALUE_COMPLEX_GAUSSIAN = "complex-gaussian"
@@ -138,14 +143,27 @@ def _progression_length(idx: np.ndarray, n: int) -> int:
     return m
 
 
+# A grid read of rows x cols cells from k coefficients is synthesized
+# directly, as one (rows, k) by (k, cols) product, up to this many
+# rows * cols * k terms; a larger read of full progressions is folded
+# onto its bin grid and inverse transformed.
+DIRECT_SYNTHESIS_MAX = 1 << 16
+
+
 class ExponentialSumSource(SignalSource):
     """Lazy synthesis from a sparse coefficient set, O(k) per sample.
 
-    sample_grid has a fast path for the subsampling patterns the front end
-    produces (full arithmetic progressions, several back to back, in both
-    axes): for each pair of row and column progressions the coefficients
-    are folded into the aliased bin grid, and one batched inverse FFT
-    reproduces exactly the requested spatial samples.
+    Every phase exp(2j*pi*(a*u/nx + b*v/ny)) is the product of two
+    entries of the exact unit-root tables, at (a*u) mod nx and (b*v) mod
+    ny, so no read pays a complex exp. A grid read takes one of two
+    paths. Up to DIRECT_SYNTHESIS_MAX terms (rows x cols x k) it is the
+    product of a (rows, k) and a (k, cols) phase matrix: every read of a
+    2520x2520 very-sparse decode at k = 100, and of criterion 6's
+    k = 100 decodes, goes this way. A larger read made of full arithmetic
+    progressions in both axes, as the front end makes them, folds the
+    coefficients into the aliased bin grid of each pair of row and column
+    progressions, and one batched inverse FFT reproduces exactly the
+    requested spatial samples. Any other read is synthesized directly.
 
     The coefficients are held in sorted (u, v) order, whatever order the
     spectrum's entries were inserted in: the fold's bincount sums in that
@@ -153,48 +171,68 @@ class ExponentialSumSource(SignalSource):
     """
 
     def __init__(self, spectrum: SparseSpectrum):
-        super().__init__(spectrum.dims)
         k = len(spectrum)
         uv = np.fromiter(itertools.chain.from_iterable(spectrum.entries),
                          dtype=np.int64, count=2 * k).reshape(k, 2)
         vals = np.fromiter(spectrum.entries.values(), dtype=np.complex128,
                            count=k)
         order = np.lexsort((uv[:, 1], uv[:, 0]))
-        self._u = uv[order, 0]
-        self._v = uv[order, 1]
-        self._vals = vals[order]
+        self._set(spectrum.dims, uv[order, 0], uv[order, 1], vals[order])
+
+    @classmethod
+    def _from_sorted(cls, dims: Dims, u: np.ndarray, v: np.ndarray,
+                     vals: np.ndarray) -> "ExponentialSumSource":
+        """A source over int64 u, v and complex vals already in sorted
+        (u, v) order, with no zero value and no repeated location."""
+        source = cls.__new__(cls)
+        source._set(dims, u, v, vals)
+        return source
+
+    def _set(self, dims: Dims, u, v, vals) -> None:
+        SignalSource.__init__(self, dims)
+        self._u, self._v, self._vals = u, v, vals
+        self._rx, self._ry = unit_roots(dims.nx), unit_roots(dims.ny)
+
+    def _phases(self, rows, cols):
+        """Row and column phase factors, shapes rows.shape + (k,) and
+        cols.shape + (k,)."""
+        er = self._rx[rows[..., None] * self._u % self.dims.nx]
+        ec = self._ry[cols[..., None] * self._v % self.dims.ny]
+        return er, ec
 
     def _points(self, aa, bb):
-        ph = (np.outer(aa, self._u) / self.dims.nx
-              + np.outer(bb, self._v) / self.dims.ny)
-        return np.exp(2j * np.pi * ph) @ self._vals
+        er, ec = self._phases(aa, bb)
+        return (er * ec) @ self._vals
 
     def _grid(self, rows, cols):
-        nx, ny = self.dims.nx, self.dims.ny
-        bx, by = _progression_length(rows, nx), _progression_length(cols, ny)
-        if bx and by:
-            r0 = rows[::bx, None, None]
-            c0 = cols[None, ::by, None]
-            w = self._vals * np.exp(2j * np.pi * (
-                r0 * self._u / nx + c0 * self._v / ny))
-            # fold every (row run, column run) pair with one flat bincount
-            runs = w.shape[0] * w.shape[1]
-            cell = (self._u % bx) * by + self._v % by
-            flat = (np.arange(runs)[:, None] * (bx * by) + cell).ravel()
-            folded = np.empty(runs * bx * by, dtype=np.complex128)
-            folded.real = np.bincount(flat, w.real.ravel(), len(folded))
-            folded.imag = np.bincount(flat, w.imag.ravel(), len(folded))
-            folded = folded.reshape(w.shape[0], w.shape[1], bx, by)
-            grid = np.fft.ifft2(folded) * (bx * by)
-            return grid.transpose(0, 2, 1, 3).reshape(len(rows), len(cols))
-        er = np.exp(2j * np.pi * np.outer(rows, self._u) / nx)
-        ec = np.exp(2j * np.pi * np.outer(cols, self._v) / ny)
+        k = len(self._vals)
+        if len(rows) * len(cols) * k > DIRECT_SYNTHESIS_MAX:
+            bx = _progression_length(rows, self.dims.nx)
+            by = _progression_length(cols, self.dims.ny)
+            if bx and by:
+                return self._folded(rows, cols, bx, by)
+        er, ec = self._phases(rows, cols)
         return er @ (self._vals[:, None] * ec.T)
+
+    def _folded(self, rows, cols, bx: int, by: int):
+        """A read of full progressions of lengths bx and by, by folding."""
+        er, ec = self._phases(rows[::bx], cols[::by])
+        w = self._vals * er[:, None, :] * ec[None, :, :]
+        # fold every (row run, column run) pair with one flat bincount
+        runs = w.shape[0] * w.shape[1]
+        cell = (self._u % bx) * by + self._v % by
+        flat = (np.arange(runs)[:, None] * (bx * by) + cell).ravel()
+        folded = np.empty(runs * bx * by, dtype=np.complex128)
+        folded.real = np.bincount(flat, w.real.ravel(), len(folded))
+        folded.imag = np.bincount(flat, w.imag.ravel(), len(folded))
+        folded = folded.reshape(w.shape[0], w.shape[1], bx, by)
+        grid = np.fft.ifft2(folded) * (bx * by)
+        return grid.transpose(0, 2, 1, 3).reshape(len(rows), len(cols))
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 arithmetic wraps, which is what we want
-    x = x.astype(np.uint64, copy=True)
+    """splitmix64 finalizer, in place; uint64 arithmetic wraps, which is
+    what we want."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -204,15 +242,35 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _noise_at(seed: int, flat: np.ndarray, sigma2: float) -> np.ndarray:
-    """Counter-based complex gaussian field, CN(0, sigma2) per index."""
+    """Counter-based complex gaussian field, CN(0, sigma2) per index.
+
+    Index i hashes 2i + 1 and 2i + 2 (plus the seed's base) into two
+    uniforms, a magnitude and a phase (Box-Muller). Both hashes share one
+    buffer and every step runs in place.
+    """
     base = np.uint64((seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
-    idx = flat.astype(np.uint64)
-    h1 = _mix64((idx << np.uint64(1)) + base + np.uint64(1))
-    h2 = _mix64((idx << np.uint64(1)) + base + np.uint64(2))
-    u1 = ((h1 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    u2 = ((h2 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    mag = np.sqrt(-sigma2 * np.log(u1))
-    return mag * np.exp(2j * np.pi * u2)
+    h = np.empty((2,) + flat.shape, dtype=np.uint64)
+    np.left_shift(flat, 1, out=h[0], casting="unsafe")
+    h[0] += base
+    h[1] = h[0]
+    h[0] += np.uint64(1)
+    h[1] += np.uint64(2)
+    _mix64(h)
+    h >>= np.uint64(11)
+    uni = h.astype(np.float64)
+    uni += 0.5
+    uni *= 2.0 ** -53
+    mag, phase = uni
+    np.log(mag, out=mag)
+    mag *= -sigma2
+    np.sqrt(mag, out=mag)
+    phase *= 2 * np.pi
+    out = np.empty(flat.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    out.real *= mag
+    out.imag *= mag
+    return out
 
 
 class NoisySource(SignalSource):
@@ -317,10 +375,12 @@ def gen_instance(dims: Dims, k: int, value_model=VALUE_UNIT_CIRCLE,
                      dims.ny)
     vals = _draw_values(rng, value_model, k)
     keep = vals != 0
-    entries = dict(zip(zip(u[keep].tolist(), v[keep].tolist()),
-                       vals[keep].tolist()))
-    truth = SparseSpectrum(dims, entries)
-    return Instance(dims, truth, ExponentialSumSource(truth), seed)
+    u, v, vals = u[keep], v[keep], vals[keep]
+    truth = SparseSpectrum(dims, dict(zip(zip(u.tolist(), v.tolist()),
+                                          vals.tolist())))
+    # the support is drawn sorted by u * ny + v, the source's (u, v) order
+    source = ExponentialSumSource._from_sorted(dims, u, v, vals)
+    return Instance(dims, truth, source, seed)
 
 
 def _draw_values(rng: np.random.Generator, value_model, k: int) -> np.ndarray:
@@ -339,11 +399,15 @@ def _draw_values(rng: np.random.Generator, value_model, k: int) -> np.ndarray:
     raise ValueError("unknown value model %r" % (value_model,))
 
 
+def mean_power(spectrum: SparseSpectrum) -> float:
+    """Mean coefficient power, sum of |X|^2 over k; 0.0 when empty."""
+    if len(spectrum) == 0:
+        return 0.0
+    return float(np.mean([abs(val) ** 2 for _, val in spectrum.items()]))
+
+
 def instance_snr(instance: Instance, sigma2: float) -> float:
     """Plug-in estimate: mean coefficient power over per-sample noise power."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    if len(instance.truth) == 0:
-        return 0.0
-    powers = [abs(val) ** 2 for _, val in instance.truth.items()]
-    return float(np.mean(powers)) / sigma2
+    return mean_power(instance.truth) / sigma2

@@ -3,7 +3,7 @@
 Both decoders run one loop, `peel_stacks`, over the front end's
 observation stacks, and differ only in the bin classifier they plug in.
 A stack holds one plane per distinct lattice of its stage. A classifier
-maps a stage's (planes, m) observation columns, one column per bin, to
+maps (planes, m) observation columns, one column per bin, to
 (nonzero, singleton, u, v, value) arrays. The engine owns everything
 else: first-pass bin statistics, rounds over the stages in order, the
 check that a recovered location aliases back into the bin it came from,
@@ -24,39 +24,42 @@ coefficients aliased into the bin. Under the noiseless chain layout
 and its value is y[0] itself; every chain is then checked against it.
 
 The engine is a worklist peeler. It classifies every bin once, keeps
-each stage's classification for the whole decode, and re-classifies a
-bin only after a subtraction has touched it, so work after the first
-pass grows with the peels, not with rounds times bins. Rounds visit the
-stages in order. A stage step takes the stage's singletons in row-major
-bin order, with no per-bin re-check: a peel found in stage s lands in
-stage s only in its own bin, and the step's bins are distinct, so the
-classification stays exact for the rest of the step. The step then
-subtracts all of its peels from every stage in one batch and marks the
-bins it touched as dirty; a stage's dirty bins are re-classified before
-the stage is next read, at its own step or at the round-end live count.
+the classification for the whole decode, and re-classifies a bin only
+after a subtraction has touched it, so work after the first pass grows
+with the peels, not with rounds times bins. Rounds visit the stages in
+order. A stage step takes the stage's singletons in row-major bin order,
+with no per-bin re-check: a peel found in stage s lands in stage s only
+in its own bin, and the step's bins are distinct, so the classification
+stays exact for the rest of the step. The step then subtracts all of its
+peels from every stage in one batch and re-classifies the bins it
+touched right away. When the stages share one plane layout and the
+classifier reads nothing but the columns, as in every noiseless decode,
+the stages' columns sit side by side in one array, and a step costs one
+subtraction and one classifier call whatever the number of stages; the
+robust classifier reads each stage's own lattice geometry, so it gets
+one call per stage. The peels are kept as arrays and summed per
+location once, at the end; per-peel Python runs only for a trace
+callback.
 
-A re-classification batch is the set of dirty bins that one read of a
-stage hands the classifier. Most batches are a handful of columns, and
-the noiseless classifier is a scalar loop over columns: its cost follows
-the columns it is given, where one whole-array call costs tens of
-microseconds however few columns it gets (the two break even near 16
-columns). A batch of at least WHOLE_ARRAY_BATCH columns goes through one
-whole-array ratio test instead, which returns bit for bit what the loop
-returns. At 280x280 with k = 3821 most re-classified columns come in
-such batches; the 2520x2520 very-sparse decodes and criterion 6's
-k = 100 and k = 200 decodes never make one.
+A re-classification batch of fewer than WHOLE_ARRAY_BATCH columns goes
+through a scalar loop over columns, whose cost follows the columns it is
+given, where one whole-array call costs tens of microseconds however few
+columns it gets. Larger batches take one whole-array ratio test, which
+makes the same decisions.
 
-The first pass stays on the scalar loop, although each of its batches
-is a whole stage, only because of criterion 6. Vectorized, it lets the
-2-stage k = 200 plan [1225, 81] decode faster than the 3-stage k = 100
-plan [81, 25, 49], whose time is set by per-call cost over more stages
-and rounds, and decode time stops growing with k.
+The first pass stays on the scalar loop, although it is one batch of
+every bin, because of criterion 6, whose k-order check compares plans of
+different shape. The 2-stage k = 200 plan [1225, 81] has 1,306 bins and
+decodes in about 3 rounds; the 3-stage k = 100 plan [81, 25, 49] has 155
+bins and about 6 rounds. A whole-array first pass speeds the first far
+more than the second: with it, the k = 100 / k = 200 time ratio was 1.18
+and the k-order held in 0 of 10 repeats.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,8 +68,9 @@ import numpy as np
 from .core import (Dims, FfastError, FfastPlan, MODE_NOISELESS, DecodeReport,
                    SparseSpectrum, STATUS_NOT_A_SINGLETON_LOOP,
                    STATUS_RESIDUAL_LEFT, STATUS_SUCCESS, noiseless_shifts)
-from .frontend import (BinObservation, distinct_cells, run_frontend,
+from .frontend import (BinObservation, _frozen, distinct_cells, run_frontend,
                        stage_lattices)
+from .roots import unit_root_list, unit_roots
 
 KIND_ZERO_TON = "zero-ton"
 KIND_SINGLETON = "singleton"
@@ -76,14 +80,14 @@ DEFAULT_TOL_ANGLE = 0.05
 DEFAULT_TOL_RESIDUAL = 1e-6
 
 # Re-classification batches of at least this many columns take the
-# whole-array ratio test. The two paths break even near 16 columns, but
-# 256 keeps every batch of criterion 6's k = 100 and k = 200 decodes (at
-# most 187 columns) and of the 2520x2520 very-sparse decodes (at most 61)
-# on the scalar loop, whose cost follows the peels, so their k-order and
-# per-peel cost stay as they were. 280x280 at k = 3821 still sends 86% of
-# its re-classified columns, in batches of about 260 to 1,900, through
-# one call per batch.
+# whole-array ratio test; smaller ones stay on the scalar loop, whose
+# cost follows the columns. 280x280 at k = 3821 sends most of its
+# re-classified columns through whole-array calls; the 2520x2520
+# very-sparse decodes and criterion 6's k = 100 decodes never make a
+# batch this large.
 WHOLE_ARRAY_BATCH = 256
+
+_TWO_PI = 2 * math.pi
 
 
 class WrongShiftLayout(FfastError, ValueError):
@@ -140,85 +144,92 @@ def ratio_estimates(values, dims: Dims) -> tuple[float, float]:
     return est_u, est_v
 
 
+def _three_planes(cols: np.ndarray, dims: Dims) -> np.ndarray:
+    """The anchor, x-shifted and y-shifted rows of noiseless columns.
+
+    An axis of size 1 has no shifted chain; the anchor stands in for it
+    and passes the ratio test with location 0, so both tests read two
+    axes whatever the grid.
+    """
+    if dims.nx > 1 and dims.ny > 1:
+        return cols
+    x = 1 if dims.nx > 1 else 0
+    return cols[[0, x, x + 1 if dims.ny > 1 else 0]]
+
+
 def _ratio_scan(cols: np.ndarray, dims: Dims, zero_thresh: float):
     """Ratio test on (C, m) noiseless-layout columns, one column per bin.
 
     Each chain after the anchor is shifted along one dimension only, so it
     gives that dimension's location and is checked against the anchor.
     One scalar pass per column: the cost follows the number of columns.
+    The two axes are written out, as this loop is a decode's hottest.
     """
-    ns = [n for n in (dims.nx, dims.ny) if n > 1]
+    nx, ny = dims.nx, dims.ny
+    rx, ry = unit_root_list(nx), unit_root_list(ny)
     m = cols.shape[1]
-    nonzero = np.zeros(m, dtype=bool)
-    single = np.zeros(m, dtype=bool)
-    uu = np.zeros(m, dtype=np.int64)
-    vv = np.zeros(m, dtype=np.int64)
-    for b, ys in enumerate(cols.T.tolist()):
-        anchor = ys[0]
+    nonzero, single = bytearray(m), bytearray(m)
+    uu, vv = array("q", bytes(8 * m)), array("q", bytes(8 * m))
+    atan2, two_pi = math.atan2, _TWO_PI
+    tol_angle, tol_res = DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL
+    planes = _three_planes(cols, dims).tolist()
+    for b, (anchor, yx, yy) in enumerate(zip(*planes)):
         mag = abs(anchor)
         if mag <= zero_thresh:
-            if max(map(abs, ys)) > zero_thresh:
-                nonzero[b] = True
+            nonzero[b] = abs(yx) > zero_thresh or abs(yy) > zero_thresh
             continue
-        nonzero[b] = True
+        nonzero[b] = 1
         conj = anchor.conjugate()
-        locs = []
-        for n, y in zip(ns, ys[1:]):
-            ratio = y * conj
-            est = math.atan2(ratio.imag, ratio.real) * n / (2 * math.pi) % n
-            snapped = round(est)
-            loc = snapped % n
-            if (abs(est - snapped) > DEFAULT_TOL_ANGLE
-                    or abs(y - anchor * cmath.exp(2j * math.pi * (loc / n)))
-                    > DEFAULT_TOL_RESIDUAL * mag):
-                break
-            locs.append(loc)
-        else:
-            single[b] = True
-            if dims.nx > 1:
-                uu[b] = locs[0]
-            if dims.ny > 1:
-                vv[b] = locs[-1]
-    return nonzero, single, uu, vv, cols[0].copy()
+        tol_residual = tol_res * mag
+        ratio = yx * conj
+        est = atan2(ratio.imag, ratio.real) * nx / two_pi % nx
+        u = round(est)
+        if abs(est - u) > tol_angle:
+            continue
+        u %= nx
+        if abs(yx - anchor * rx[u]) > tol_residual:
+            continue
+        ratio = yy * conj
+        est = atan2(ratio.imag, ratio.real) * ny / two_pi % ny
+        v = round(est)
+        if abs(est - v) > tol_angle:
+            continue
+        v %= ny
+        if abs(yy - anchor * ry[v]) > tol_residual:
+            continue
+        single[b] = 1
+        uu[b] = u
+        vv[b] = v
+    return (np.frombuffer(nonzero, dtype=bool),
+            np.frombuffer(single, dtype=bool),
+            np.frombuffer(uu, dtype=np.int64),
+            np.frombuffer(vv, dtype=np.int64), cols[0].copy())
 
 
-def _ratio_scan_batch(cols: np.ndarray, dims: Dims, zero_thresh: float):
-    """_ratio_scan as whole-array expressions, with the same results.
+def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float):
+    """The ratio test of _ratio_scan as whole-array numpy expressions.
 
-    numpy's complex multiply and complex abs round differently from
-    CPython's, and its SIMD arctan2 differs from math.atan2 in the last
-    bit, so products are formed on real parts as CPython forms them,
-    magnitudes come from np.hypot and angles from math.atan2. The
-    _unit_roots table holds cmath.exp's values.
+    It makes the same decisions as the scalar loop; angles and products
+    may differ from CPython's in the last bit, which moves a decision
+    only for an estimate within one rounding of a tolerance.
     """
-    m = cols.shape[1]
-    re, im = cols.real, cols.imag
-    mags = np.hypot(re, im)
+    planes = _three_planes(cols, dims)
+    mags = np.abs(planes)
     mag = mags[0]
-    nonzero = mags.max(axis=0) > zero_thresh
-    single = mag > zero_thresh
-    ar, ai = re[0], im[0]
-    ns = [n for n in (dims.nx, dims.ny) if n > 1]
-    locs = []
-    for row, n in enumerate(ns, 1):
-        yr, yi = re[row], im[row]
-        # angle of y * conj(anchor)
-        angle = np.fromiter(map(math.atan2, (yi * ar - yr * ai).tolist(),
-                                (yr * ar + yi * ai).tolist()),
-                            np.float64, m)
-        est = angle * n / (2 * math.pi) % n
-        snapped = np.rint(est)
-        loc = snapped.astype(np.int64) % n
-        root = _unit_roots(n)[loc]
-        wr, wi = root.real, root.imag
-        # |y - anchor * root|
-        residual = np.hypot(yr - (ar * wr - ai * wi), yi - (ar * wi + ai * wr))
-        single &= ((np.abs(est - snapped) <= DEFAULT_TOL_ANGLE)
-                   & (residual <= DEFAULT_TOL_RESIDUAL * mag))
-        locs.append(loc)
-    uu = np.where(single, locs[0], 0) if dims.nx > 1 else np.zeros(m, np.int64)
-    vv = np.where(single, locs[-1], 0) if dims.ny > 1 else np.zeros(m, np.int64)
-    return nonzero, single, uu, vv, cols[0].copy()
+    anchor, ys = planes[0], planes[1:]
+    n = np.array([[dims.nx], [dims.ny]])
+    est = np.angle(ys * anchor.conj()) * n / _TWO_PI % n
+    snapped = np.rint(est)
+    loc = snapped.astype(np.int64) % n
+    roots = np.stack([unit_roots(dims.nx)[loc[0]],
+                      unit_roots(dims.ny)[loc[1]]])
+    single = ((mag > zero_thresh)
+              & (np.abs(est - snapped) <= DEFAULT_TOL_ANGLE).all(axis=0)
+              & (np.abs(ys - anchor * roots)
+                 <= DEFAULT_TOL_RESIDUAL * mag).all(axis=0))
+    loc *= single
+    return (mags.max(axis=0) > zero_thresh, single, loc[0], loc[1],
+            cols[0].copy())
 
 
 def ratio_test(obs: BinObservation, dims: Dims) -> BinClass:
@@ -234,80 +245,75 @@ def ratio_test(obs: BinObservation, dims: Dims) -> BinClass:
     return BinClass.from_scan(_ratio_scan(cols, dims, 0.0))
 
 
-@lru_cache(maxsize=32)
-def _unit_roots(n: int) -> np.ndarray:
-    """exp(2j*pi*r/n) for r in range(n), read-only."""
-    roots = np.exp(2j * np.pi * (np.arange(n) / n))
-    roots.flags.writeable = False
-    return roots
-
-
 def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
-                max_rounds: int | None, cut: float, trace=None) -> DecodeReport:
+                max_rounds: int | None, cut: float, trace=None,
+                stage_free: bool = False) -> DecodeReport:
     """Peels the plan's observation stacks with the given bin classifier.
 
     Each stack holds one plane per distinct lattice of its stage
-    (frontend.stage_lattices). classify(stage_index, idx, cols) takes the
-    (planes, m) columns cols = stack[:, idx] of one stage, one column per
-    bin, and returns (nonzero, singleton, u, v, value) arrays of length m,
-    with singleton a subset of nonzero. Recovered
-    coefficients at or below `cut` in magnitude are dropped from the
-    spectrum. The stacks are consumed.
+    (frontend.stage_lattices). classify(si, idx, cols) takes (planes, m)
+    observation columns, one column per bin, and returns
+    (nonzero, singleton, u, v, value) arrays of length m, with singleton a
+    subset of nonzero. cols = stack[:, idx] of stage si, with idx a
+    slice(None) on the first pass and an array of flat bin positions
+    after it. A stage_free classifier reads nothing but cols; when, in
+    addition, every stage has the same plane layout, it is called once
+    per step on the columns of all stages side by side, with si None and
+    idx positions in that joint array. Recovered coefficients at or below
+    `cut` in magnitude are dropped from the spectrum. The stacks are
+    consumed.
     """
     dims = plan.dims
     stages = plan.stages
-    cols = [stack.reshape(stack.shape[0], -1) for stack in stacks]
-    ex, ey = _unit_roots(dims.nx), _unit_roots(dims.ny)
-    # a plane holds its lattice's first chain; stages whose lattices start
-    # with the same shifts share the weights of a peel batch
-    layout_ids: dict = {}
-    layout_of = [layout_ids.setdefault(stage_lattices(dims, st).lead,
-                                       len(layout_ids)) for st in stages]
-    layouts = [np.array(lead, dtype=np.int64).T[:, :, None]
-               for lead in layout_ids]
+    ex, ey = unit_roots(dims.nx), unit_roots(dims.ny)
+    lay = _peel_layout(dims, stages)
+    offs, total, geometry = lay.offs, lay.offs[-1], lay.geometry
+    flats = [stack.reshape(stack.shape[0], -1) for stack in stacks]
+    # a group is (si, base, columns, its stages' rows of a batch, layout)
+    if stage_free and lay.one_layout:
+        groups = [(None, 0, np.concatenate(flats, axis=1), slice(None),
+                   lay.layouts[0])]
+    else:
+        groups = [(si, offs[si], col, slice(si, si + 1), lay.layouts[si])
+                  for si, col in enumerate(flats)]
 
-    bins = [np.divmod(np.arange(st.bin_count), st.bins_y) for st in stages]
+    nonzero = np.zeros(total, dtype=bool)
+    single = np.zeros(total, dtype=bool)
+    uu = np.zeros(total, dtype=np.int64)
+    vv = np.zeros(total, dtype=np.int64)
+    vals = np.zeros(total, dtype=np.complex128)
 
-    def classify_bins(si, idx):
-        stage, (ii, jj) = stages[si], bins[si]
-        nonzero, single, uu, vv, vals = classify(si, idx, cols[si][:, idx])
-        single = (single & (uu % stage.bins_x == ii[idx])
-                  & (vv % stage.bins_y == jj[idx]))
-        return [nonzero, single, uu, vv, vals]
+    def classify_bins(group, idx):
+        si, base, col, _, _ = groups[group]
+        at = (slice(base, base + col.shape[1]) if isinstance(idx, slice)
+              else idx + base)
+        nz, sg, u, v, val = classify(si, idx, col[:, idx])
+        bx, by, i, j = geometry[:, at]
+        nonzero[at] = nz
+        single[at] = sg & (u % bx == i) & (v % by == j)
+        uu[at], vv[at], vals[at] = u, v, val
 
-    state = [classify_bins(si, slice(None)) for si in range(len(stages))]
-    dirty = [np.zeros(st.bin_count, dtype=bool) for st in stages]
+    def subtract(pu, pv, pval):
+        # the batch's bin in every stage, one row per stage
+        at = (lay.stage_off + pu % lay.stage_bx * lay.stage_by
+              + pv % lay.stage_by)
+        for group, (_, base, col, rows, (s1, s2)) in enumerate(groups):
+            pos = at[rows] - base
+            w = pval * ex[s1 * pu % dims.nx] * ey[s2 * pv % dims.ny]
+            # peels that share a bin are subtracted one after the other
+            np.subtract.at(col, (slice(None), pos), w[:, None])
+            classify_bins(group, pos.ravel())
 
-    def current(si):
-        # re-classifies only the bins subtracted into since the last read
-        idx = np.flatnonzero(dirty[si])
-        if idx.size:
-            dirty[si][idx] = False
-            for arr, new in zip(state[si], classify_bins(si, idx)):
-                arr[idx] = new
-        return state[si]
-
-    def subtract(uu, vv, vals):
-        weights = [None] * len(layouts)
-        for si, (col, st) in enumerate(zip(cols, stages)):
-            lid = layout_of[si]
-            if weights[lid] is None:
-                s1, s2 = layouts[lid]
-                weights[lid] = (vals * ex[s1 * uu % dims.nx]
-                                * ey[s2 * vv % dims.ny])
-            flat = uu % st.bins_x * st.bins_y + vv % st.bins_y
-            np.subtract.at(col, (slice(None), flat), weights[lid])
-            dirty[si][flat] = True
-
-    bin_stats = []
-    for nonzero, single, *_ in state:
-        bin_stats.append({KIND_ZERO_TON: int(nonzero.size - nonzero.sum()),
-                          KIND_SINGLETON: int(single.sum()),
-                          KIND_MULTI_TON: int((nonzero & ~single).sum())})
+    for group in range(len(groups)):
+        classify_bins(group, slice(None))
+    # a bin's kind is 0, 1 or 2: nonzero + single
+    kinds = np.bincount(lay.stage3 + nonzero + single,
+                        minlength=3 * len(stages))
+    bin_stats = [{KIND_ZERO_TON: z, KIND_SINGLETON: s, KIND_MULTI_TON: m}
+                 for z, m, s in kinds.reshape(-1, 3).tolist()]
     if max_rounds is None:
-        max_rounds = sum(plan.bin_counts) + len(stages)
-    recovered: dict[tuple[int, int], complex] = {}
-    events = 0
+        max_rounds = total + len(stages)
+    peels = []
     rounds = 0
     deadlock = False
     prev_live = float("inf")
@@ -315,33 +321,30 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
         rounds += 1
         progressed = False
         for si, stage in enumerate(stages):
-            _, single, uu, vv, vals = current(si)
-            found = np.flatnonzero(single)
+            found = np.flatnonzero(single[offs[si]:offs[si + 1]])
             if not found.size:
                 continue
             progressed = True
-            uu, vv, vals = uu[found], vv[found], vals[found]
-            for b, u, v, value in zip(found.tolist(), uu.tolist(), vv.tolist(),
-                                      vals.tolist()):
-                recovered[(u, v)] = recovered.get((u, v), 0j) + value
-                if trace is not None:
+            at = found + offs[si]
+            pu, pv, pval = uu[at], vv[at], vals[at]
+            peels.append((pu, pv, pval))
+            if trace is not None:
+                for b, u, v, value in zip(found.tolist(), pu.tolist(),
+                                          pv.tolist(), pval.tolist()):
                     trace({"round": rounds, "stage": si,
                            "bin": divmod(b, stage.bins_y),
                            "location": (u, v), "value": value})
-            events += found.size
-            subtract(uu, vv, vals)
+            subtract(pu, pv, pval)
         # a real peel drains (under noise, quiets) the bin it was detected
         # in, so genuine progress strictly shrinks the live-bin count; a
         # flat round is churn
-        live = sum(int(current(si)[0].sum()) for si in range(len(stages)))
+        live = int(nonzero.sum())
         if not progressed or live >= prev_live:
             deadlock = True
             break
         prev_live = live
-    residual = any(current(si)[0].any() for si in range(len(stages)))
-    # keys are in-range ints and every kept value is nonzero (cut >= 0), so
-    # the spectrum takes the dict as it stands
-    entries = {loc: val for loc, val in recovered.items() if abs(val) > cut}
+    residual = bool(nonzero.any())
+    entries, events = _sum_peels(peels, dims, cut)
     if not residual and len(entries) == events:
         status = STATUS_SUCCESS
     elif deadlock and residual:
@@ -351,6 +354,73 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     return DecodeReport(SparseSpectrum(dims, entries), samples_touched,
                         distinct_cells(dims, stages), rounds, status,
                         bin_stats)
+
+
+@dataclass(frozen=True)
+class _PeelLayout:
+    """A plan's bins in one global index, built once per plan, read-only.
+
+    Stage s holds global bins offs[s] to offs[s + 1]. geometry has one
+    column per bin: its stage's bins_x and bins_y, and the bin's (i, j).
+    stage_off, stage_bx and stage_by are (stages, 1) columns, which place
+    a peel batch in every stage at once, and stage3 is three times each
+    bin's stage. A plane holds its lattice's first chain: layouts[s] holds
+    the (s1, s2) shifts of stage s's first chains as (planes, 1) columns,
+    and one_layout tells whether every stage has the same ones.
+    """
+
+    offs: list
+    geometry: np.ndarray
+    stage_off: np.ndarray
+    stage_bx: np.ndarray
+    stage_by: np.ndarray
+    stage3: np.ndarray
+    layouts: list
+    one_layout: bool
+
+
+@lru_cache(maxsize=16)
+def _peel_layout(dims: Dims, stages) -> _PeelLayout:
+    counts = [st.bin_count for st in stages]
+    offs = np.cumsum([0] + counts).tolist()
+    shape = np.repeat([[st.bins_x, st.bins_y] for st in stages], counts,
+                      axis=0).T
+    local = np.arange(offs[-1]) - np.repeat(offs[:-1], counts)
+    leads = [stage_lattices(dims, st).lead for st in stages]
+    return _PeelLayout(
+        offs, _frozen(np.concatenate([shape, np.divmod(local, shape[1])])),
+        _frozen(np.array(offs[:-1])[:, None]),
+        _frozen([[st.bins_x] for st in stages]),
+        _frozen([[st.bins_y] for st in stages]),
+        _frozen(3 * np.repeat(np.arange(len(stages)), counts)),
+        [_frozen(np.array(lead).T[:, :, None]) for lead in leads],
+        len(set(leads)) == 1)
+
+
+def _sum_peels(peels, dims: Dims, cut: float):
+    """The peels summed per location, in peel order, above `cut`; and
+    the number of peels.
+
+    Each sum starts from zero, so a location peeled once keeps its value
+    with any -0.0 part made +0.0. Keys are in-range ints and every kept
+    value is nonzero (cut >= 0), so the spectrum takes the dict as it
+    stands.
+    """
+    if not peels:
+        return {}, 0
+    pu, pv, pval = (np.concatenate(part) for part in zip(*peels))
+    locs = pu * dims.ny + pv
+    if len(set(locs.tolist())) == locs.size:
+        sums = pval + 0j
+    else:
+        locs, inverse = np.unique(locs, return_inverse=True)
+        sums = np.empty(locs.size, dtype=np.complex128)
+        sums.real = np.bincount(inverse, pval.real, locs.size)
+        sums.imag = np.bincount(inverse, pval.imag, locs.size)
+    keep = np.abs(sums) > cut
+    u, v = np.divmod(locs[keep], dims.ny)
+    return (dict(zip(zip(u.tolist(), v.tolist()), sums[keep].tolist())),
+            pval.size)
 
 
 def decode(source, plan: FfastPlan, max_rounds: int | None = None,
@@ -372,9 +442,9 @@ def decode(source, plan: FfastPlan, max_rounds: int | None = None,
 
     def classify(si, idx, cols):
         # the first pass (idx is a slice) stays scalar: see the module doc
-        scan = (_ratio_scan_batch if not isinstance(idx, slice)
-                and cols.shape[1] >= WHOLE_ARRAY_BATCH else _ratio_scan)
+        scan = (_ratio_scan if isinstance(idx, slice)
+                or cols.shape[1] < WHOLE_ARRAY_BATCH else _ratio_scan_whole)
         return scan(cols, plan.dims, zero_thresh)
 
     return peel_stacks(stacks, plan, classify, touched, max_rounds,
-                       zero_thresh, trace)
+                       zero_thresh, trace, stage_free=True)

@@ -2,11 +2,13 @@
 
 robust_decode runs the same worklist peeling engine as the noiseless
 decoder (peeler.peel_stacks: same rounds, batched subtraction and status
-rules); only the classifier and the shift design differ. The engine
-hands the classifier only the bins a subtraction has touched since it
-last read the stage. Each live column costs a ladder decode over many
-chains, so this classifier stays vectorized across the columns it is
-given, where the noiseless one is a scalar loop.
+rules); only the classifier and the shift design differ. After the
+first pass, the engine hands the classifier only the bins of a stage
+that a step's subtraction touched, one call per stage, as the
+classifier reads each stage's own lattice geometry. Each live column
+costs a ladder decode over many chains, so this classifier stays
+vectorized across the columns it is given, where the noiseless one is
+a scalar loop for small batches.
 
 The ratio test breaks down once observations carry noise, so robust
 stages use many chains: an anchor plus, per dimension and per bit level
@@ -40,8 +42,9 @@ import numpy as np
 from .core import (Dims, FfastError, FfastPlan, MODE_ROBUST, DecodeReport,
                    RobustParams, StageConfig, bit_levels, robust_chain_count)
 from .frontend import BinObservation, _frozen, run_frontend, stage_lattices
-from .peeler import (BinClass, WrongShiftLayout, _unit_roots,
-                     observation_zero_threshold, peel_stacks)
+from .peeler import (BinClass, WrongShiftLayout, observation_zero_threshold,
+                     peel_stacks)
+from .roots import unit_roots
 
 # a singleton's least-squares value must stand this many standard
 # deviations of its noise above zero
@@ -138,8 +141,8 @@ def _estimate_bins(ys: np.ndarray, shifts: np.ndarray, ladders, dims: Dims):
     """
     uu = _ladder_decode(ys, ladders[0])
     vv = _ladder_decode(ys, ladders[1])
-    w = (_unit_roots(dims.nx)[shifts[:, :1] * uu % dims.nx]
-         * _unit_roots(dims.ny)[shifts[:, 1:] * vv % dims.ny])
+    w = (unit_roots(dims.nx)[shifts[:, :1] * uu % dims.nx]
+         * unit_roots(dims.ny)[shifts[:, 1:] * vv % dims.ny])
     vals = (np.conj(w) * ys).sum(axis=0) / ys.shape[0]
     resid = (np.abs(ys - vals[None, :] * w) ** 2).sum(axis=0)
     return uu, vv, vals, resid
@@ -166,8 +169,8 @@ class _StageChains:
         """(C, m) chain columns from (G, m) plane columns at flat bins pos."""
         bx, by = self.bins
         i, j = np.divmod(pos, by)
-        ramp = (_unit_roots(bx)[self.dq[:, :1] * i % bx]
-                * _unit_roots(by)[self.dq[:, 1:] * j % by])
+        ramp = (unit_roots(bx)[self.dq[:, :1] * i % bx]
+                * unit_roots(by)[self.dq[:, 1:] * j % by])
         return planes[self.inv] * ramp
 
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from ffast2d.core import Constellation, Dims, SparseSpectrum, StageConfig
-from ffast2d.oracle import (ArraySource, ExponentialSumSource, KTooLarge,
-                            NoisySource, SignalSource, _first_seen,
+from ffast2d.oracle import (DIRECT_SYNTHESIS_MAX, ArraySource,
+                            ExponentialSumSource, KTooLarge, NoisySource,
+                            SignalSource, _first_seen, _noise_at,
                             alias_sum_oracle, dense_dft_2d, gen_instance,
-                            instance_snr, synthesize_dense)
+                            instance_snr, mean_power, synthesize_dense)
 
 WORKED_6X6 = {(1, 3): 7.0, (2, 0): 3.0, (2, 3): 5.0, (4, 0): 1.0}
 
@@ -110,6 +111,42 @@ def test_expsum_grid_fast_path_matches_dense():
         got = src.sample_grid(rows, cols)
         want = dense.sample_grid(rows, cols)
         assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("rows,cols,folded", [
+    # 6 x 10 x 40 = 2,400 terms: synthesized directly
+    (np.arange(0, 60, 10), np.arange(3, 60, 6), False),
+    # 30 x 30 x 40 = 36,000 terms, two runs per axis: directly
+    (np.concatenate([np.arange(0, 60, 4), np.arange(1, 60, 4)]),
+     np.concatenate([np.arange(0, 60, 4), np.arange(2, 60, 4)]), False),
+    # 40 x 45 x 40 = 72,000 terms, past the crossover: folded
+    (np.concatenate([np.arange(0, 60, 3), np.arange(1, 60, 3)]),
+     np.concatenate([np.arange(0, 60, 4), np.arange(5, 65, 4) % 60,
+                     np.arange(2, 60, 4)]), True),
+    # 60 x 60 x 40 = 144,000 terms, the whole grid: folded
+    (np.arange(60), np.arange(60), True),
+    # 50 x 60 x 40 terms, not full progressions: directly
+    (np.arange(50), np.arange(60), False),
+])
+def test_expsum_grid_paths_match_dense_across_crossover(monkeypatch, rows,
+                                                        cols, folded):
+    dims = Dims(60, 60)
+    truth = _random_spectrum(dims, 40, np.random.default_rng(14))
+    src = ExponentialSumSource(truth)
+    folds = []
+    fold = ExponentialSumSource._folded
+
+    def counting_fold(self, *args):
+        folds.append(args)
+        return fold(self, *args)
+
+    monkeypatch.setattr(ExponentialSumSource, "_folded", counting_fold)
+    if folded:
+        assert len(rows) * len(cols) * len(truth) > DIRECT_SYNTHESIS_MAX
+    got = src.sample_grid(rows, cols)
+    want = synthesize_dense(truth)[np.ix_(rows, cols)]
+    assert bool(folds) == folded
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_expsum_grid_general_path_matches_dense():
@@ -307,6 +344,40 @@ def test_expsum_source_sorts_shuffled_entries():
                           inst.source.sample_grid(rows, cols))
 
 
+def _noise_reference(seed, flat, sigma2):
+    # the field as one expression per step, which _noise_at computes in
+    # place; it must give the same bits
+    def mix(x):
+        x = x.astype(np.uint64, copy=True)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        return x
+
+    base = np.uint64((seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+    idx = flat.astype(np.uint64)
+    h1 = mix((idx << np.uint64(1)) + base + np.uint64(1))
+    h2 = mix((idx << np.uint64(1)) + base + np.uint64(2))
+    u1 = ((h1 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    u2 = ((h2 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    mag = np.sqrt(-sigma2 * np.log(u1))
+    return mag * np.exp(2j * np.pi * u2)
+
+
+@pytest.mark.parametrize("seed,sigma2", [(0, 1.0), (7, 0.37), (12345, 2.5),
+                                         (2 ** 40 + 3, 1e-6)])
+def test_noise_matches_reference_bit_for_bit(seed, sigma2):
+    rng = np.random.default_rng(seed % 1000)
+    flat = rng.integers(0, 2520 * 2520, size=20_000)
+    for idx in (flat, flat.reshape(100, 200), np.arange(280 * 280)):
+        got = _noise_at(seed, idx, sigma2)
+        want = _noise_reference(seed, idx, sigma2)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_noise_is_deterministic_per_cell():
     inner = ExponentialSumSource(SparseSpectrum.from_entries(Dims(16, 16), {}))
     noisy = NoisySource(inner, sigma2=1.0, seed=42)
@@ -346,6 +417,27 @@ def test_add_noise_zero_sigma_is_identity():
     rows, cols = np.arange(0, 6, 3), np.arange(0, 6, 3)
     assert np.array_equal(noisy.sample_grid(rows, cols),
                           src.sample_grid(rows, cols))
+
+
+@pytest.mark.parametrize("model", ["unit-circle", "complex-gaussian",
+                                   Constellation(rho=20.0, m1=2, m2=8)])
+def test_gen_instance_source_equals_source_from_spectrum(model):
+    # gen_instance hands its sorted arrays to the source directly
+    for dims, k, seed in [(Dims(280, 280), 3821, 1), (Dims(60, 40), 200, 5),
+                          (Dims(7, 5), 35, 2), (Dims(6, 6), 0, 0)]:
+        inst = gen_instance(dims, k, model, seed)
+        built = ExponentialSumSource(inst.truth)
+        for name in ("_u", "_v", "_vals"):
+            got, want = getattr(inst.source, name), getattr(built, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert inst.source.dims == dims and inst.source.access_count == 0
+
+
+def test_mean_power():
+    spectrum = SparseSpectrum.from_entries(Dims(6, 6), WORKED_6X6)
+    assert mean_power(spectrum) == (49 + 9 + 25 + 1) / 4
+    assert mean_power(SparseSpectrum.from_entries(Dims(6, 6), {})) == 0.0
 
 
 def test_instance_snr_plug_in():

@@ -13,8 +13,10 @@ from ffast2d.oracle import (ArraySource, ExponentialSumSource, gen_instance,
                             synthesize_dense)
 from ffast2d.peeler import (BinClass, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL,
                             KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
-                            WrongShiftLayout, decode, ratio_estimates,
+                            WrongShiftLayout, decode,
+                            observation_zero_threshold, ratio_estimates,
                             ratio_test)
+from ffast2d.roots import unit_root_list, unit_roots
 
 WORKED_6X6 = {(1, 3): 7.0, (2, 0): 3.0, (2, 3): 5.0, (4, 0): 1.0}
 
@@ -101,6 +103,20 @@ def test_ratio_test_recovers_every_location(nx, ny):
             assert abs(got.value - val) < 1e-9
 
 
+def _recording_peel(monkeypatch, batches):
+    # wraps peel_stacks so that every batch of columns its classifier is
+    # handed lands in batches, as (idx, cols)
+    peel = peeler.peel_stacks
+
+    def recording_peel(stacks, plan, classify, *args, **kwargs):
+        def recording_classify(si, idx, cols):
+            batches.append((idx, cols.copy()))
+            return classify(si, idx, cols)
+        return peel(stacks, plan, recording_classify, *args, **kwargs)
+
+    monkeypatch.setattr(peeler, "peel_stacks", recording_peel)
+
+
 @pytest.mark.parametrize("nx,factors,k,seed",
                          [(60, [16, 9, 25], 60, seed) for seed in range(3)]
                          + [(280, [25, 64, 49], 3821, 0)])
@@ -108,28 +124,53 @@ def test_peel_reclassifies_only_touched_bins(monkeypatch, nx, factors, k, seed):
     # a worklist peeler classifies every bin once, then re-classifies a bin
     # only after a peel lands in it: at most one column per stage per peel.
     # Columns are counted at the classifier peel_stacks is handed, which
-    # both the scalar and the whole-array ratio test sit behind.
-    columns = []
-    peel = peeler.peel_stacks
-
-    def counting_peel(stacks, plan, classify, *args):
-        def counting_classify(si, idx, cols):
-            columns.append(cols.shape[1])
-            return classify(si, idx, cols)
-        return peel(stacks, plan, counting_classify, *args)
-
-    monkeypatch.setattr(peeler, "peel_stacks", counting_peel)
+    # both the scalar and the whole-array ratio test sit behind. Noiseless
+    # stages share one plane layout, so the first pass is one call over
+    # the bins of every stage.
+    batches = []
+    _recording_peel(monkeypatch, batches)
     dims = Dims(nx, nx)
     plan = build_plan(dims, factors, "less-sparse")
     events = []
     decode(gen_instance(dims, k, seed=seed).source, plan, trace=events.append)
     assert events
-    assert columns[:len(plan.stages)] == plan.bin_counts
+    columns = [cols.shape[1] for _, cols in batches]
+    assert isinstance(batches[0][0], slice)
+    assert columns[0] == sum(plan.bin_counts)
+    assert not any(isinstance(idx, slice) for idx, _ in batches[1:])
+    # then one call per stage step, over the bins it touched in all stages
+    steps = {(e["round"], e["stage"]) for e in events}
+    assert len(batches) == 1 + len(steps)
     bound = sum(plan.bin_counts) + len(plan.stages) * len(events)
     assert sum(columns) <= bound
     if nx == 280:
-        reclassified = columns[len(plan.stages):]
-        assert max(reclassified) >= peeler.WHOLE_ARRAY_BATCH
+        assert max(columns[1:]) >= peeler.WHOLE_ARRAY_BATCH
+
+
+@pytest.mark.parametrize("dims,factors,regime,k,seed",
+                         [((280, 280), [25, 64, 49], "less-sparse", 3821, 0),
+                          ((2520, 2520), [81, 25, 49, 64], "very-sparse",
+                           100, 1)]
+                         + [((60, 60), [16, 9, 25], "less-sparse", 60, seed)
+                            for seed in range(3)])
+def test_whole_array_ratio_test_decides_as_scalar(monkeypatch, dims, factors,
+                                                  regime, k, seed):
+    # every column a decode hands its classifier, first pass and mid-peel
+    # batches alike, gets the same class and location from both tests
+    batches = []
+    _recording_peel(monkeypatch, batches)
+    dims = Dims(*dims)
+    plan = build_plan(dims, factors, regime)
+    decode(gen_instance(dims, k, seed=seed).source, plan)
+    assert len(batches) > 1
+    cols = np.concatenate([cols for _, cols in batches], axis=1)
+    thresh = observation_zero_threshold([cols[:, :sum(plan.bin_counts)]])
+    scalar = peeler._ratio_scan(cols, dims, thresh)
+    whole = peeler._ratio_scan_whole(cols, dims, thresh)
+    assert scalar[1].any() and (scalar[0] & ~scalar[1]).any()
+    for a, b in zip(scalar, whole):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("nx,factors,k,seed",
@@ -193,7 +234,7 @@ def test_ratio_scan_matches_vectorized_reference(nx, ny):
     ref_nonzero, ref_single, ref_u, ref_v = _vectorized_ratio_scan(
         cols, dims, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL, 1e-9)
     scans = [scan(cols, dims, 1e-9)
-             for scan in (peeler._ratio_scan, peeler._ratio_scan_batch)]
+             for scan in (peeler._ratio_scan, peeler._ratio_scan_whole)]
     for nonzero, single, uu, vv, vals in scans:
         assert np.array_equal(nonzero, ref_nonzero)
         assert np.array_equal(single, ref_single)
@@ -210,11 +251,34 @@ def test_ratio_scan_matches_vectorized_reference(nx, ny):
 
 
 def test_unit_roots_hold_cmath_exp_values():
-    # the whole-array ratio test reads its residual roots from this table
-    # where the scalar loop calls cmath.exp
+    # both ratio tests read their residual roots from these tables, which
+    # hold cmath.exp's values bit for bit
     for n in (2, 12, 18, 31, 35, 40, 56, 280, 1225, 2520):
-        assert peeler._unit_roots(n).tolist() == [
-            cmath.exp(2j * math.pi * (loc / n)) for loc in range(n)]
+        want = [cmath.exp(2j * math.pi * (loc / n)) for loc in range(n)]
+        assert unit_roots(n).tolist() == want
+        assert list(unit_root_list(n)) == want
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_sum_peels_matches_a_dict_sum_in_peel_order(repeat):
+    # each location's value is the sum of its peels taken in peel order
+    # from zero, as a dict accumulation takes it: a -0.0 part becomes +0.0
+    dims = Dims(6, 6)
+    peels = [(np.array([1, 2]), np.array([3, 4]),
+              np.array([0.1 + 0.7j, complex(-0.0, -2.0)])),
+             (np.array([5]), np.array([0]), np.array([1e-12 + 0j]))]
+    if repeat:
+        peels += [(np.array([1, 1]), np.array([3, 3]),
+                   np.array([0.2 - 0.3j, 0.3 + 0j]))]
+    want = {}
+    for pu, pv, pval in peels:
+        for key, val in zip(zip(pu.tolist(), pv.tolist()), pval.tolist()):
+            want[key] = want.get(key, 0j) + val
+    got, events = peeler._sum_peels(peels, dims, 1e-9)
+    assert events == sum(len(pu) for pu, _, _ in peels)
+    assert got == {key: val for key, val in want.items() if abs(val) > 1e-9}
+    assert math.copysign(1.0, got[(2, 4)].real) == 1.0
+    assert peeler._sum_peels([], dims, 0.0) == ({}, 0)
 
 
 def _worked_plan_and_source():
@@ -228,7 +292,11 @@ def test_peel_worked_example():
     events = []
     report = decode(src, plan, trace=events.append)
     assert report.status == STATUS_SUCCESS
-    assert report.spectrum.items() == truth.items()
+    # the source synthesizes these small reads directly, so the values
+    # carry the rounding of a sum of unit roots
+    got, want = report.spectrum.items(), truth.items()
+    assert [loc for loc, _ in got] == [loc for loc, _ in want]
+    assert all(abs(g - w) <= 1e-12 for (_, g), (_, w) in zip(got, want))
     assert report.samples_touched == 39
     assert plan_sample_budget(plan) == 39
     assert [e["location"] for e in events] == [(2, 3), (1, 3), (4, 0), (2, 0)]

@@ -8,6 +8,7 @@ from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
                             gen_instance, synthesize_dense)
 from ffast2d.peeler import (KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
                             WrongShiftLayout, decode, ratio_test)
+from ffast2d import robust as robust_module
 from ffast2d.robust import (_ladder_decode, _stage_chains, design_shifts,
                             robust_classify, robust_decode)
 
@@ -236,6 +237,33 @@ def test_robust_decode_shares_the_noiseless_trajectory():
                          report.bin_stats, cut.status,
                          set(dict(cut.spectrum.items()))))
         assert runs[0] == runs[1], seed
+
+
+def test_robust_peel_classifies_each_stage_once_per_step(monkeypatch):
+    # the robust classifier reads each stage's own lattice geometry, so
+    # the engine calls it per stage: once on the first pass, then once per
+    # stage step on the bins that step touched
+    calls = []
+    peel = robust_module.peel_stacks
+
+    def recording_peel(stacks, plan, classify, *args, **kwargs):
+        def recording_classify(si, idx, cols):
+            calls.append((si, idx))
+            return classify(si, idx, cols)
+        return peel(stacks, plan, recording_classify, *args, **kwargs)
+
+    monkeypatch.setattr(robust_module, "peel_stacks", recording_peel)
+    plan, _ = _robust_plan_60()
+    stages = len(plan.stages)
+    inst = gen_instance(Dims(60, 60), 8, Constellation(1.0, 2, 8), seed=2)
+    events = []
+    robust_decode(NoisySource(inst.source, 0.01, seed=52), plan,
+                  min_magnitude=0.25, trace=events.append)
+    steps = {(e["round"], e["stage"]) for e in events}
+    assert steps
+    assert [(si, type(idx)) for si, idx in calls[:stages]] == [
+        (si, slice) for si in range(stages)]
+    assert [si for si, _ in calls[stages:]] == list(range(stages)) * len(steps)
 
 
 def test_robust_decode_rejects_non_finite_sample():
