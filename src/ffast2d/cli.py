@@ -36,7 +36,6 @@ from .oracle import (VALUE_COMPLEX_GAUSSIAN, VALUE_UNIT_CIRCLE, ArraySource,
                      ExponentialSumSource, NoisySource, gen_instance,
                      mean_power, synthesize_dense)
 from .peeler import decode
-from .robust import robust_decode
 
 SIGNAL_MAGIC = b"FF2D"
 DENSE_LIMIT = 10 ** 6
@@ -227,10 +226,7 @@ def cmd_decode(args) -> int:
     if sigma2 > 0:
         source = NoisySource(source, sigma2, args.noise_seed)
     start = time.perf_counter()
-    if plan.mode == MODE_ROBUST:
-        report = robust_decode(source, plan, min_magnitude=args.min_magnitude)
-    else:
-        report = decode(source, plan)
+    report = decode(source, plan, min_magnitude=args.min_magnitude)
     wall_ms = (time.perf_counter() - start) * 1e3
     doc = report_doc(report, plan, wall_ms)
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -243,51 +239,58 @@ def _spectra_match(got: SparseSpectrum, want: SparseSpectrum,
     return all(abs(got.get(*k) - want.get(*k)) <= tol for k in keys)
 
 
+def _trial_stats(plan, k: int, value_model, trials: int, seed: int, judge,
+                 sigma2: float = 0.0, min_magnitude: float = 0.0) -> dict:
+    """Successes and mean cost of seeded decodes, timing only the decode.
+
+    Trial t draws its instance with seed + t and, when sigma2 > 0, its
+    noise with seed + t + 1; judge(report, truth) scores it.
+    """
+    successes = 0
+    samples = 0
+    elapsed = 0.0
+    for t in range(trials):
+        inst = gen_instance(plan.dims, k, value_model, seed + t)
+        source = inst.source
+        if sigma2 > 0:
+            source = NoisySource(source, sigma2, seed + t + 1)
+        start = time.perf_counter()
+        report = decode(source, plan, min_magnitude=min_magnitude)
+        elapsed += time.perf_counter() - start
+        samples += report.samples_touched
+        successes += int(judge(report, inst.truth))
+    return {"trials": trials, "successes": successes,
+            "mean_samples": samples / trials,
+            "mean_time_ms": elapsed / trials * 1e3}
+
+
 def sweep_rows(dims: Dims, factors, regime: str, k_list, trials: int,
                seed: int, mode: str = MODE_NOISELESS, sigma2: float = 0.0,
                value_model=VALUE_UNIT_CIRCLE, robust_params=None,
                min_magnitude: float = 0.0):
-    """One row per k: success rate and mean cost over seeded trials."""
+    """One row per k: success rate and mean cost over seeded trials.
+
+    A robust trial succeeds on the right support, a noiseless one on
+    success with the right values.
+    """
+    if mode == MODE_ROBUST:
+        robust_params = robust_params or RobustParams(noise_var=sigma2)
+
+        def judge(report, truth):
+            return set(report.spectrum.entries) == set(truth.entries)
+    else:
+        def judge(report, truth):
+            return (report.status == STATUS_SUCCESS
+                    and _spectra_match(report.spectrum, truth))
+    plan = build_plan(dims, factors, regime, mode, robust_params)
     rows = []
-    trial_index = 0
     for k in k_list:
-        if mode == MODE_ROBUST:
-            params = robust_params or RobustParams(noise_var=sigma2)
-            plan = build_plan(dims, factors, regime, mode, params)
-        else:
-            plan = build_plan(dims, factors, regime, mode)
-        successes = 0
-        samples = 0
-        elapsed = 0.0
-        for _ in range(trials):
-            inst = gen_instance(dims, k, value_model, seed + trial_index)
-            trial_index += 1
-            source = inst.source
-            if sigma2 > 0:
-                source = NoisySource(source, sigma2, seed + trial_index)
-            start = time.perf_counter()
-            if mode == MODE_ROBUST:
-                report = robust_decode(source, plan,
-                                       min_magnitude=min_magnitude)
-            else:
-                report = decode(source, plan)
-            elapsed += time.perf_counter() - start
-            if mode == MODE_ROBUST:
-                good = set(report.spectrum.entries) == set(inst.truth.entries)
-            else:
-                good = (report.status == STATUS_SUCCESS
-                        and _spectra_match(report.spectrum, inst.truth))
-            samples += report.samples_touched
-            successes += int(good)
-        rows.append({
-            "k": k,
-            "eta": plan_eta(plan, k),
-            "trials": trials,
-            "successes": successes,
-            "success_rate": successes / trials,
-            "mean_samples": samples / trials,
-            "mean_time_ms": elapsed / trials * 1e3,
-        })
+        # trial seeds run on across rows
+        stats = _trial_stats(plan, k, value_model, trials,
+                             seed + len(rows) * trials, judge, sigma2,
+                             min_magnitude)
+        rows.append({"k": k, "eta": plan_eta(plan, k), **stats,
+                     "success_rate": stats["successes"] / trials})
     return rows
 
 
@@ -333,36 +336,18 @@ def cmd_sweep(args) -> int:
 def bench_rows(nx_list, ny: int, k_list, trials: int, seed: int):
     """Mean decode time per (k, nx) over the curated plan family."""
     rows = []
-    trial_index = 0
     for k in k_list:
         for nx in nx_list:
             key = (nx, ny, k)
             if key not in BENCH_FAMILIES:
                 raise FfastError("no benchmark plan for nx=%d, ny=%d, k=%d"
                                  % key)
-            dims = Dims(nx, ny)
-            plan = build_plan(dims, BENCH_FAMILIES[key], REGIME_VERY_SPARSE)
-            successes = 0
-            samples = 0
-            elapsed = 0.0
-            for _ in range(trials):
-                inst = gen_instance(dims, k, VALUE_UNIT_CIRCLE,
-                                    seed + trial_index)
-                trial_index += 1
-                start = time.perf_counter()
-                report = decode(inst.source, plan)
-                elapsed += time.perf_counter() - start
-                samples += report.samples_touched
-                successes += int(report.status == STATUS_SUCCESS)
-            rows.append({
-                "k": k,
-                "nx": nx,
-                "ny": ny,
-                "trials": trials,
-                "successes": successes,
-                "mean_samples": samples / trials,
-                "mean_time_ms": elapsed / trials * 1e3,
-            })
+            plan = build_plan(Dims(nx, ny), BENCH_FAMILIES[key],
+                              REGIME_VERY_SPARSE)
+            stats = _trial_stats(
+                plan, k, VALUE_UNIT_CIRCLE, trials, seed + len(rows) * trials,
+                lambda report, _: report.status == STATUS_SUCCESS)
+            rows.append({"k": k, "nx": nx, "ny": ny, **stats})
     return rows
 
 
@@ -445,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise level from mean coefficient power")
     p.add_argument("--noise-seed", type=int, default=0)
     p.add_argument("--min-magnitude", type=float, default=0.0,
-                   help="robust mode: drop recovered values at or below this")
+                   help="drop recovered values at or below this")
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.set_defaults(func=cmd_decode)
 

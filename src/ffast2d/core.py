@@ -185,6 +185,9 @@ class FfastPlan:
             raise PlanError("a plan needs at least 2 stages, got %d" % len(self.stages))
         if self.mode not in (MODE_NOISELESS, MODE_ROBUST):
             raise PlanError("unknown mode %r" % (self.mode,))
+        if (self.mode == MODE_ROBUST) != (self.robust_params is not None):
+            raise PlanError("robust parameters go with a robust plan and "
+                            "only with one; mode is %r" % (self.mode,))
         dims = self.dims
         for s in self.stages:
             if s.sub_x * s.bins_x != dims.nx or s.sub_y * s.bins_y != dims.ny:
@@ -213,13 +216,10 @@ class FfastPlan:
                 raise PlanError("noiseless stages use the shift list %r, got %r"
                                 % (want, s.shifts))
         else:
-            if self.robust_params is not None:
-                want = robust_chain_count(dims, self.robust_params)
-                if len(s.shifts) != want:
-                    raise PlanError("robust stage has %d shifts, expected %d"
-                                    % (len(s.shifts), want))
-            if len(s.shifts) < 3:
-                raise PlanError("robust stages need at least 3 shifts")
+            want = robust_chain_count(dims, self.robust_params)
+            if len(s.shifts) != want:
+                raise PlanError("robust stage has %d shifts, expected %d"
+                                % (len(s.shifts), want))
 
     def _check_factor_structure(self) -> None:
         """Bin counts must realize a co-prime factor list in either regime."""
@@ -332,8 +332,6 @@ def build_plan(dims: Dims, factors, regime: str = REGIME_LESS_SPARSE,
         if robust_params is None:
             robust_params = RobustParams()
         from .robust import design_shifts  # local import, robust builds on core
-    elif robust_params is not None:
-        raise PlanError("robust_params given but mode is %r" % (mode,))
 
     stages = []
     for i, f in enumerate(factors):

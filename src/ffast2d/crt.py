@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from .core import Dims, FfastError, FfastPlan, MODE_ROBUST, SparseSpectrum
+from .core import Dims, FfastError, FfastPlan, SparseSpectrum
 from .oracle import SignalSource
+from .peeler import decode
 
 
 class DimsNotCoprime(FfastError, ValueError):
@@ -89,14 +90,7 @@ def coprime_sparse_dft(source: SignalSource, dims: Dims,
     if plan1d.dims != Dims(1, dims.n):
         raise ValueError("plan dims %r are not the 1-row view of n = %d"
                          % (plan1d.dims, dims.n))
-    from .peeler import decode
-    from .robust import robust_decode
-
-    view = DiagonalView(source)
-    if plan1d.mode == MODE_ROBUST:
-        report = robust_decode(view, plan1d)
-    else:
-        report = decode(view, plan1d)
+    report = decode(DiagonalView(source), plan1d)
     remapped = {diag_freq_pair(f, dims): val
                 for (_, f), val in report.spectrum.items()}
     return SparseSpectrum.from_entries(dims, remapped)

@@ -283,8 +283,8 @@ class NoisySource(SignalSource):
     """
 
     def __init__(self, inner: SignalSource, sigma2: float, seed: int):
-        if sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        if not 0 <= sigma2 < math.inf:
+            raise ValueError("sigma2 must be finite and >= 0")
         super().__init__(inner.dims)
         self.inner = inner
         self.sigma2 = float(sigma2)

@@ -1,7 +1,8 @@
-"""The peeling engine shared by both decoders, and the noiseless classifier.
+"""The one decode, its peeling engine and the noiseless classifier.
 
-Both decoders run one loop, `peel_stacks`, over the front end's
-observation stacks, and differ only in the bin classifier they plug in.
+decode runs the front end and peels its observation stacks with
+`peel_stacks`, in either mode; the plan's mode picks only the bin
+classifier: the ratio test below, or robust.robust_classifier.
 A stack holds one plane per distinct lattice of its stage. A classifier
 maps (planes, m) observation columns, one column per bin, to
 (nonzero, singleton, u, v, value) arrays. The engine owns everything
@@ -32,9 +33,9 @@ with no per-bin re-check: a peel found in stage s lands in stage s only
 in its own bin, and the step's bins are distinct, so the classification
 stays exact for the rest of the step. The step then subtracts all of its
 peels from every stage in one batch and re-classifies the bins it
-touched right away. When the stages share one plane layout and the
-classifier reads nothing but the columns, as in every noiseless decode,
-the stages' columns sit side by side in one array, and a step costs one
+touched right away. Noiseless stages share one plane layout and the
+ratio test reads nothing but the columns, so in a noiseless decode the
+stages' columns sit side by side in one array, and a step costs one
 subtraction and one classifier call whatever the number of stages; the
 robust classifier reads each stage's own lattice geometry, so it gets
 one call per stage. The peels are kept as arrays and summed per
@@ -67,9 +68,8 @@ import numpy as np
 
 from .core import (Dims, FfastError, FfastPlan, MODE_NOISELESS, DecodeReport,
                    SparseSpectrum, STATUS_NOT_A_SINGLETON_LOOP,
-                   STATUS_RESIDUAL_LEFT, STATUS_SUCCESS, noiseless_shifts)
-from .frontend import (BinObservation, _frozen, distinct_cells, run_frontend,
-                       stage_lattices)
+                   STATUS_RESIDUAL_LEFT, STATUS_SUCCESS)
+from .frontend import _frozen, distinct_cells, run_frontend, stage_lattices
 from .roots import unit_root_list, unit_roots
 
 KIND_ZERO_TON = "zero-ton"
@@ -232,22 +232,8 @@ def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float):
             cols[0].copy())
 
 
-def ratio_test(obs: BinObservation, dims: Dims) -> BinClass:
-    """Classifies one noiseless-layout observation; any nonzero chain is live."""
-    expected = noiseless_shifts(dims)
-    if tuple(obs.shifts) != expected:
-        raise WrongShiftLayout("expected chain shifts %r, got %r"
-                               % (expected, tuple(obs.shifts)))
-    if len(obs.values) != len(expected):
-        raise WrongShiftLayout("expected %d chain values, got %d"
-                               % (len(expected), len(obs.values)))
-    cols = np.asarray(obs.values, dtype=np.complex128)[:, None]
-    return BinClass.from_scan(_ratio_scan(cols, dims, 0.0))
-
-
 def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
-                max_rounds: int | None, cut: float, trace=None,
-                stage_free: bool = False) -> DecodeReport:
+                max_rounds: int | None, cut: float, trace=None) -> DecodeReport:
     """Peels the plan's observation stacks with the given bin classifier.
 
     Each stack holds one plane per distinct lattice of its stage
@@ -256,10 +242,10 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     (nonzero, singleton, u, v, value) arrays of length m, with singleton a
     subset of nonzero. cols = stack[:, idx] of stage si, with idx a
     slice(None) on the first pass and an array of flat bin positions
-    after it. A stage_free classifier reads nothing but cols; when, in
-    addition, every stage has the same plane layout, it is called once
-    per step on the columns of all stages side by side, with si None and
-    idx positions in that joint array. Recovered coefficients at or below
+    after it. On a noiseless plan, whose stages share one plane layout
+    and whose classifier reads nothing but cols, it is called once per
+    step on the columns of all stages side by side, with si None and idx
+    positions in that joint array. Recovered coefficients at or below
     `cut` in magnitude are dropped from the spectrum. The stacks are
     consumed.
     """
@@ -270,7 +256,7 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     offs, total, geometry = lay.offs, lay.offs[-1], lay.geometry
     flats = [stack.reshape(stack.shape[0], -1) for stack in stacks]
     # a group is (si, base, columns, its stages' rows of a batch, layout)
-    if stage_free and lay.one_layout:
+    if plan.mode == MODE_NOISELESS:
         groups = [(None, 0, np.concatenate(flats, axis=1), slice(None),
                    lay.layouts[0])]
     else:
@@ -365,8 +351,7 @@ class _PeelLayout:
     stage_off, stage_bx and stage_by are (stages, 1) columns, which place
     a peel batch in every stage at once, and stage3 is three times each
     bin's stage. A plane holds its lattice's first chain: layouts[s] holds
-    the (s1, s2) shifts of stage s's first chains as (planes, 1) columns,
-    and one_layout tells whether every stage has the same ones.
+    the (s1, s2) shifts of stage s's first chains as (planes, 1) columns.
     """
 
     offs: list
@@ -376,7 +361,6 @@ class _PeelLayout:
     stage_by: np.ndarray
     stage3: np.ndarray
     layouts: list
-    one_layout: bool
 
 
 @lru_cache(maxsize=16)
@@ -393,8 +377,7 @@ def _peel_layout(dims: Dims, stages) -> _PeelLayout:
         _frozen([[st.bins_x] for st in stages]),
         _frozen([[st.bins_y] for st in stages]),
         _frozen(3 * np.repeat(np.arange(len(stages)), counts)),
-        [_frozen(np.array(lead).T[:, :, None]) for lead in leads],
-        len(set(leads)) == 1)
+        [_frozen(np.array(lead).T[:, :, None]) for lead in leads])
 
 
 def _sum_peels(peels, dims: Dims, cut: float):
@@ -423,28 +406,28 @@ def _sum_peels(peels, dims: Dims, cut: float):
             pval.size)
 
 
-def decode(source, plan: FfastPlan, max_rounds: int | None = None,
-           trace=None) -> DecodeReport:
-    """Front end plus peeling: the full sparse transform, noiseless mode.
+def decode(source, plan: FfastPlan, *, min_magnitude: float = 0.0,
+           max_rounds: int | None = None, trace=None) -> DecodeReport:
+    """Front end plus peeling: the full sparse transform, either mode.
 
-    Success means every bin ends at or below observation_zero_threshold,
-    1e-9 times the largest anchor magnitude; coefficients below that
-    floor are missing from a successful report.
+    Recovered values at or below max(min_magnitude, zero floor) are
+    dropped, the zero floor being observation_zero_threshold. Success
+    means every bin ends at or below that floor and each peel kept an
+    entry of its own: a dropped value leaves residual-left.
     """
-    if plan.mode != MODE_NOISELESS:
-        raise FfastError("decode() handles noiseless plans; "
-                         "robust plans go through robust_decode()")
     plan.validate()
     before = source.access_count
     stacks = run_frontend(plan, source)
     touched = source.access_count - before
     zero_thresh = observation_zero_threshold(stacks)
-
-    def classify(si, idx, cols):
-        # the first pass (idx is a slice) stays scalar: see the module doc
-        scan = (_ratio_scan if isinstance(idx, slice)
-                or cols.shape[1] < WHOLE_ARRAY_BATCH else _ratio_scan_whole)
-        return scan(cols, plan.dims, zero_thresh)
-
+    if plan.mode == MODE_NOISELESS:
+        def classify(si, idx, cols):
+            # the first pass (idx is a slice) stays scalar: see the module doc
+            scan = (_ratio_scan if isinstance(idx, slice)
+                    or cols.shape[1] < WHOLE_ARRAY_BATCH else _ratio_scan_whole)
+            return scan(cols, plan.dims, zero_thresh)
+    else:
+        from .robust import robust_classifier  # robust builds on peeler
+        classify = robust_classifier(plan, zero_thresh)
     return peel_stacks(stacks, plan, classify, touched, max_rounds,
-                       zero_thresh, trace, stage_free=True)
+                       max(min_magnitude, zero_thresh), trace)

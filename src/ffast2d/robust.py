@@ -1,14 +1,14 @@
 """Noise-robust chain design and the robust bin classifier.
 
-robust_decode runs the same worklist peeling engine as the noiseless
-decoder (peeler.peel_stacks: same rounds, batched subtraction and status
-rules); only the classifier and the shift design differ. After the
-first pass, the engine hands the classifier only the bins of a stage
-that a step's subtraction touched, one call per stage, as the
-classifier reads each stage's own lattice geometry. Each live column
-costs a ladder decode over many chains, so this classifier stays
-vectorized across the columns it is given, where the noiseless one is
-a scalar loop for small batches.
+A robust plan goes through the same peeler.decode as a noiseless one
+(same front end, rounds, batched subtraction and status rules); only
+the classifier built here and the shift design differ. After the first
+pass, the engine hands the classifier only the bins of a stage that a
+step's subtraction touched, one call per stage, as the classifier reads
+each stage's own lattice geometry. Each live column costs a ladder
+decode over many chains, so this classifier stays vectorized across the
+columns it is given, where the noiseless one is a scalar loop for small
+batches.
 
 The ratio test breaks down once observations carry noise, so robust
 stages use many chains: an anchor plus, per dimension and per bit level
@@ -28,7 +28,7 @@ and value thresholds against the per-bin noise variance sigma2/B are
 sized by the multiplicities n_g, not by the chain count alone (see
 _robust_scan). The value estimate is least squares across all chains
 rather than the anchor alone. At sigma2 = 0 the classifier finds the
-same singletons as the ratio test, so both decoders peel alike.
+same singletons as the ratio test, so both modes peel alike.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (Dims, FfastError, FfastPlan, MODE_ROBUST, DecodeReport,
-                   RobustParams, StageConfig, bit_levels, robust_chain_count)
-from .frontend import BinObservation, _frozen, run_frontend, stage_lattices
-from .peeler import (BinClass, WrongShiftLayout, observation_zero_threshold,
-                     peel_stacks)
+from .core import (Dims, FfastPlan, RobustParams, StageConfig, bit_levels,
+                   robust_chain_count)
+from .frontend import BinObservation, _frozen, stage_lattices
+from .peeler import (BinClass, WrongShiftLayout, decode,
+                     observation_zero_threshold)
 from .roots import unit_roots
 
 # a singleton's least-squares value must stand this many standard
@@ -246,28 +246,19 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
                                            observation_zero_threshold([ys])))
 
 
-def robust_decode(source, plan: FfastPlan, min_magnitude: float = 0.0,
-                  max_rounds: int | None = None, trace=None) -> DecodeReport:
-    """Front end plus peeling with the robust classifier."""
-    if plan.mode != MODE_ROBUST:
-        raise FfastError("robust_decode() needs a robust-mode plan")
-    params = plan.robust_params
-    if params is None:
-        raise FfastError("the robust plan carries no robust parameters")
-    plan.validate()
-    dims = plan.dims
+def robust_classifier(plan: FfastPlan, zero_thresh: float):
+    """The robust plan's bin classifier, as peeler.peel_stacks calls it."""
+    params, dims = plan.robust_params, plan.dims
     chains = [_stage_chains(dims, s, params) for s in plan.stages]
     positions = [np.arange(s.bin_count) for s in plan.stages]
     sigma2_obs = [params.noise_var / s.bin_count for s in plan.stages]
-
-    before = source.access_count
-    stacks = run_frontend(plan, source)
-    touched = source.access_count - before
-    zero_thresh = observation_zero_threshold(stacks)
 
     def classify(si, idx, cols):
         return _robust_scan(cols, positions[si][idx], chains[si], dims,
                             params, sigma2_obs[si], zero_thresh)
 
-    return peel_stacks(stacks, plan, classify, touched, max_rounds,
-                       max(min_magnitude, zero_thresh), trace)
+    return classify
+
+
+# the one decode's other name, imported by criteria 5, 8, 9 and perfbench
+robust_decode = decode

@@ -152,6 +152,23 @@ def test_gen_decode_round_trip_worked_example(tmp_path):
     assert all(abs(got[loc] - val) <= 1e-12 for loc, val in want.items())
 
 
+def test_decode_min_magnitude_cuts_in_noiseless_mode(tmp_path):
+    # one cut rule for both modes: the dropped (4, 0) peel leaves the
+    # decode residual-left, exit 2
+    truth_path = str(tmp_path / "truth.csv")
+    assert main(["gen", "--nx", "6", "--ny", "6",
+                 "--entries", WORKED_ENTRIES,
+                 "--out-truth", truth_path]) == 0
+    out_path = tmp_path / "report.json"
+    assert main(["decode", "--plan", _write_plan(tmp_path),
+                 "--truth", truth_path, "--min-magnitude", "2",
+                 "--out", str(out_path)]) == 2
+    doc = json.loads(out_path.read_text())
+    assert doc["status"] == "residual-left"
+    assert [(u, v) for u, v, _, _ in doc["entries"]] == [(1, 3), (2, 0),
+                                                         (2, 3)]
+
+
 def test_decode_from_dense_signal(tmp_path):
     truth_path = str(tmp_path / "truth.csv")
     sig_path = str(tmp_path / "sig.bin")

@@ -199,12 +199,23 @@ def _plan_text(nx=6, sub_x=3, shift=(1, 0)):
     return json.dumps(doc).replace("Infinity", "1e400")
 
 
-def _robust_plan_text(**robust):
+def _robust_doc():
     plan = build_plan(Dims(60, 60), [16, 9, 25], regime="very-sparse",
                       mode="robust",
                       robust_params=RobustParams(noise_var=0.5))
-    doc = json.loads(plan_to_json(plan))
+    return json.loads(plan_to_json(plan))
+
+
+def _robust_plan_text(**robust):
+    doc = _robust_doc()
     doc["robust"].update(robust)
+    return json.dumps(doc)
+
+
+def _noiseless_plan_text(edit):
+    # the 6x6 [9, 4] plan's document, changed in place by edit
+    doc = json.loads(plan_to_json(build_plan(Dims(6, 6), [9, 4])))
+    edit(doc)
     return json.dumps(doc)
 
 
@@ -235,6 +246,15 @@ def test_plan_json_integral_floats_read_as_ints():
     pytest.param(_robust_plan_text(chains_per_dim=True),
                  id="chains_per_dim-true"),
     pytest.param(_robust_plan_text(gamma_zero=True), id="gamma_zero-true"),
+    # the mode and the robust block go together
+    pytest.param(json.dumps({key: val for key, val in _robust_doc().items()
+                             if key != "robust"}), id="robust-without-params"),
+    pytest.param(_noiseless_plan_text(
+        lambda doc: doc.update(robust=_robust_doc()["robust"])),
+        id="noiseless-with-params"),
+    pytest.param(_noiseless_plan_text(
+        lambda doc: doc["stages"][0].update(shifts=[[0, 0], [0, 1], [1, 0]])),
+        id="noiseless-swapped-shifts"),
     pytest.param("[" * 200_000 + "]" * 200_000, id="deep-nesting"),
 ])
 def test_plan_json_malformed(text):

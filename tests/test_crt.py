@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffast2d.core import Dims, SparseSpectrum, build_plan
+from ffast2d.core import Dims, RobustParams, SparseSpectrum, build_plan
 from ffast2d.crt import (DiagonalView, DimsNotCoprime, coprime_sparse_dft,
                          diag_freq_pair, good_thomas_forward,
                          good_thomas_reverse)
@@ -129,6 +129,24 @@ def test_coprime_sparse_dft_matches_dense_oracle(seed):
     assert set(dict(got.items())) == set(dict(inst.truth.items()))
     for (u, v), val in got.items():
         assert abs(val - want[u, v]) < 1e-9
+
+
+@pytest.mark.parametrize("nx,ny,k", [(4, 5, 3), (13, 14, 4)])
+def test_coprime_sparse_dft_robust_plan_matches_noiseless(nx, ny, k):
+    # at zero noise a robust 1-row plan gives the noiseless plan's spectrum
+    dims = Dims(nx, ny)
+    view = Dims(1, dims.n)
+    plain = build_plan(view, [nx, ny], regime="very-sparse")
+    robust = build_plan(view, [nx, ny], regime="very-sparse", mode="robust",
+                        robust_params=RobustParams(reps=3, noise_var=0.0,
+                                                   seed=1))
+    for seed in range(20):
+        source = gen_instance(dims, k, seed=seed).source
+        want = coprime_sparse_dft(source, dims, plain)
+        got = coprime_sparse_dft(source, dims, robust)
+        assert len(want) and set(got.entries) == set(want.entries), seed
+        assert all(abs(got.get(*loc) - val) <= 1e-9
+                   for loc, val in want.items()), seed
 
 
 def test_coprime_sparse_dft_validates_inputs():

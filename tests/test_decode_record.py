@@ -42,8 +42,8 @@ def _robust_280():
                       RobustParams(chains_per_dim=1, reps=5, noise_var=1.0,
                                    seed=8))
     inst = gen_instance(dims, 50, Constellation(rho, 2, 8), seed=900)
-    return robust_decode(NoisySource(inst.source, 1.0, seed=0), plan,
-                         min_magnitude=math.sqrt(rho) / 4)
+    return decode(NoisySource(inst.source, 1.0, seed=0), plan,
+                  min_magnitude=math.sqrt(rho) / 4)
 
 
 def _worked_30():
@@ -58,8 +58,8 @@ def _robust_60_one_round():
                       RobustParams(chains_per_dim=1, reps=3, noise_var=0.01,
                                    seed=5))
     inst = gen_instance(dims, 12, Constellation(1.0, 2, 8), seed=0)
-    return robust_decode(NoisySource(inst.source, 0.01, seed=50), plan,
-                         min_magnitude=0.25, max_rounds=1)
+    return decode(NoisySource(inst.source, 0.01, seed=50), plan,
+                  min_magnitude=0.25, max_rounds=1)
 
 
 RECORDS = [
@@ -100,3 +100,8 @@ def test_seeded_decode_matches_its_record(run, status, rounds, bin_stats,
     assert len(report.spectrum) == k
     locations = repr(sorted(report.spectrum.entries)).encode()
     assert hashlib.sha256(locations).hexdigest() == support
+
+
+def test_robust_decode_is_decode():
+    # one decode for both modes; the robust records above go through it
+    assert robust_decode is decode

@@ -419,6 +419,15 @@ def test_add_noise_zero_sigma_is_identity():
                           src.sample_grid(rows, cols))
 
 
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0])
+def test_noisy_source_refuses_bad_sigma2(sigma2):
+    # a NaN variance would turn every sample into nan+nanj
+    src = ExponentialSumSource(SparseSpectrum.from_entries(Dims(6, 6),
+                                                           WORKED_6X6))
+    with pytest.raises(ValueError, match="sigma2"):
+        NoisySource(src, sigma2, seed=0)
+
+
 @pytest.mark.parametrize("model", ["unit-circle", "complex-gaussian",
                                    Constellation(rho=20.0, m1=2, m2=8)])
 def test_gen_instance_source_equals_source_from_spectrum(model):

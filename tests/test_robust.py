@@ -7,8 +7,8 @@ from ffast2d.frontend import BinObservation, NonFiniteSample, run_frontend
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
                             gen_instance, synthesize_dense)
 from ffast2d.peeler import (KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
-                            WrongShiftLayout, decode, ratio_test)
-from ffast2d import robust as robust_module
+                            BinClass, WrongShiftLayout, _ratio_scan, decode)
+from ffast2d import peeler
 from ffast2d.robust import (_ladder_decode, _stage_chains, design_shifts,
                             robust_classify, robust_decode)
 
@@ -87,10 +87,8 @@ def test_robust_classify_matches_ratio_test_when_clean():
         val = complex(rng.normal(), rng.normal()) + 2.0
         robust = robust_classify(_obs_for(dims, params, {(u, v): val}),
                                  dims, params)
-        plain = ratio_test(
-            BinObservation(0, (0, 0),
-                           val * _weights(((0, 0), (1, 0), (0, 1)), dims, u, v),
-                           ((0, 0), (1, 0), (0, 1))), dims)
+        cols = val * _weights(((0, 0), (1, 0), (0, 1)), dims, u, v)
+        plain = BinClass.from_scan(_ratio_scan(cols[:, None], dims, 0.0))
         assert robust.kind == plain.kind == KIND_SINGLETON
         assert robust.location == plain.location == (u, v)
         assert abs(robust.value - plain.value) < 1e-9
@@ -244,7 +242,7 @@ def test_robust_peel_classifies_each_stage_once_per_step(monkeypatch):
     # the engine calls it per stage: once on the first pass, then once per
     # stage step on the bins that step touched
     calls = []
-    peel = robust_module.peel_stacks
+    peel = peeler.peel_stacks
 
     def recording_peel(stacks, plan, classify, *args, **kwargs):
         def recording_classify(si, idx, cols):
@@ -252,7 +250,7 @@ def test_robust_peel_classifies_each_stage_once_per_step(monkeypatch):
             return classify(si, idx, cols)
         return peel(stacks, plan, recording_classify, *args, **kwargs)
 
-    monkeypatch.setattr(robust_module, "peel_stacks", recording_peel)
+    monkeypatch.setattr(peeler, "peel_stacks", recording_peel)
     plan, _ = _robust_plan_60()
     stages = len(plan.stages)
     inst = gen_instance(Dims(60, 60), 8, Constellation(1.0, 2, 8), seed=2)
@@ -290,13 +288,6 @@ def test_robust_decode_is_scale_equivariant(seed):
         assert report.status == base.status, c
         assert set(got) == set(want), c
         assert all(abs(got[loc] - c * want[loc]) <= 1e-9 * c for loc in want), c
-
-
-def test_robust_decode_requires_robust_plan():
-    plain = build_plan(Dims(60, 60), [16, 9, 25], regime="very-sparse")
-    inst = gen_instance(Dims(60, 60), 3, seed=0)
-    with pytest.raises(Exception):
-        robust_decode(inst.source, plain)
 
 
 def test_robust_decode_magnitude_filter():
