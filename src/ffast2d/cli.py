@@ -246,6 +246,8 @@ def _trial_stats(plan, k: int, value_model, trials: int, seed: int, judge,
     Trial t draws its instance with seed + t and, when sigma2 > 0, its
     noise with seed + t + 1; judge(report, truth) scores it.
     """
+    if trials < 1:
+        raise FfastError("trials must be at least 1, got %d" % trials)
     successes = 0
     samples = 0
     elapsed = 0.0
@@ -304,13 +306,22 @@ def _rows_to_csv(rows, columns) -> str:
 
 
 def _robust_params(args, seed: int = 0) -> RobustParams | None:
-    if args.mode != MODE_ROBUST:
-        return None
-    return RobustParams(chains_per_dim=args.chains, reps=args.reps,
-                        noise_var=args.sigma2 or 0.0, seed=seed)
+    """The robust design flags; in noiseless mode None, and any of them
+    set away from its default is refused."""
+    if args.mode == MODE_ROBUST:
+        return RobustParams(chains_per_dim=args.chains, reps=args.reps,
+                            noise_var=args.sigma2 or 0.0, seed=seed)
+    for flag, used in (("--sigma2", (args.sigma2 or 0.0) > 0),
+                       ("--chains", args.chains != 1),
+                       ("--reps", args.reps != 1),
+                       ("--design-seed", seed != 0)):
+        if used:
+            raise FfastError("%s applies only with --mode robust" % flag)
+    return None
 
 
 def cmd_plan(args) -> int:
+    _check_flag("--sigma2", args.sigma2, 0.0)
     plan = build_plan(Dims(args.nx, args.ny), _parse_int_list(args.factors),
                       args.regime, args.mode,
                       _robust_params(args, args.design_seed))

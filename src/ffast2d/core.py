@@ -19,7 +19,10 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 MODE_NOISELESS = "noiseless"
 MODE_ROBUST = "robust"
@@ -32,19 +35,8 @@ class FfastError(Exception):
 
 
 class PlanError(FfastError, ValueError):
-    """A measurement plan could not be built or validated."""
-
-
-class NotCoprime(PlanError):
-    """Factor list is not pairwise co-prime."""
-
-
-class ProductMismatch(PlanError):
-    """Factor product does not equal nx * ny."""
-
-
-class NoValidSplit(PlanError):
-    """Factors cannot be apportioned to the two dimensions."""
+    """A measurement plan could not be built or validated; the message
+    names the rule it breaks."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +112,11 @@ class RobustParams:
             raise ValueError("gamma_zero and gamma_single must be positive "
                              "and finite")
 
+    @property
+    def pairs_per_level(self) -> int:
+        """Shift pairs per dimension and bit level."""
+        return self.chains_per_dim * self.reps
+
 
 def bit_levels(n: int) -> int:
     """Number of shift-pair bit levels needed to resolve an index in [0, n)."""
@@ -128,8 +125,20 @@ def bit_levels(n: int) -> int:
 
 def robust_chain_count(dims: Dims, params: RobustParams) -> int:
     """Anchor plus one (offset, offset + 2^j) pair per chain, level and rep."""
-    levels = bit_levels(dims.nx) + bit_levels(dims.ny)
-    return 1 + 2 * params.chains_per_dim * params.reps * levels
+    return 1 + 2 * len(robust_pairs(dims, params))
+
+
+def robust_pairs(dims: Dims, params: RobustParams):
+    """(axis, n, 2^j) of the robust layout's pair p, chains 2p + 1 and
+    2p + 2: axis x, then y; per axis level j ascending, then repetition."""
+    return [(axis, n, 1 << j)
+            for axis, n in enumerate((dims.nx, dims.ny))
+            for j in range(bit_levels(n))
+            for _ in range(params.pairs_per_level)]
+
+
+def _on_axis(axis: int, a: int, b: int):
+    return ((a, 0), (b, 0)) if axis == 0 else ((0, a), (0, b))
 
 
 def noiseless_shifts(dims: Dims) -> tuple[tuple[int, int], ...]:
@@ -140,6 +149,51 @@ def noiseless_shifts(dims: Dims) -> tuple[tuple[int, int], ...]:
     if dims.ny > 1:
         shifts.append((0, 1))
     return tuple(shifts)
+
+
+def design_shifts(dims: Dims, params: RobustParams, seed: int):
+    """Anchor plus per-dimension dyadic offset pairs; deterministic in seed.
+
+    Pair (axis, n, step) of robust_pairs is (r, r + step mod n) along its
+    axis, with a fresh random offset r. Offsets are rejection-sampled for
+    distinctness against all shifts so far; tiny grids that cannot avoid
+    repeats fall back to duplicates.
+    """
+    rng = np.random.default_rng(seed)
+    shifts = [(0, 0)]
+    used = {(0, 0)}
+    for axis, n, step in robust_pairs(dims, params):
+        pair = None
+        for _ in range(64):
+            r = int(rng.integers(n))
+            cand = _on_axis(axis, r, (r + step) % n)
+            if cand[0] not in used and cand[1] not in used:
+                pair = cand
+                break
+            pair = pair or cand
+        used.update(pair)
+        shifts.extend(pair)
+    return tuple(shifts)
+
+
+@lru_cache(maxsize=64)
+def check_robust_layout(dims: Dims, shifts, params: RobustParams) -> None:
+    """Refuses shifts other than the design_shifts layout: the anchor
+    (0, 0), then each pair of robust_pairs as (r, r + 2^j mod n) along its
+    axis, with 0 on the other. Cached, as every decode validates its plan.
+    """
+    pairs = robust_pairs(dims, params)
+    if len(shifts) != 1 + 2 * len(pairs):
+        raise PlanError("robust stage has %d shifts, expected %d"
+                        % (len(shifts), 1 + 2 * len(pairs)))
+    want = [(0, 0)]
+    for p, (axis, n, step) in enumerate(pairs):
+        r = shifts[2 * p + 1][axis] % n
+        want += _on_axis(axis, r, (r + step) % n)
+    for c, (got, need) in enumerate(zip(shifts, want)):
+        if tuple(got) != need:
+            raise PlanError("robust shift %d is %r; the dyadic pair layout "
+                            "needs %r" % (c, got, need))
 
 
 @dataclass(frozen=True)
@@ -156,7 +210,7 @@ class StageConfig:
     def from_subsampling(cls, dims: Dims, sub_x: int, sub_y: int,
                          shifts) -> "StageConfig":
         if sub_x < 1 or sub_y < 1 or dims.nx % sub_x or dims.ny % sub_y:
-            raise NoValidSplit(
+            raise PlanError(
                 "subsampling (%d, %d) does not divide dims (%d, %d)"
                 % (sub_x, sub_y, dims.nx, dims.ny))
         return cls(sub_x, sub_y, dims.nx // sub_x, dims.ny // sub_y,
@@ -191,35 +245,23 @@ class FfastPlan:
         dims = self.dims
         for s in self.stages:
             if s.sub_x * s.bins_x != dims.nx or s.sub_y * s.bins_y != dims.ny:
-                raise NoValidSplit(
+                raise PlanError(
                     "stage periods (%d, %d) do not tile dims (%d, %d)"
                     % (s.sub_x, s.sub_y, dims.nx, dims.ny))
             # so that the noiseless chains sit on distinct lattices
             if (dims.nx > 1 and s.sub_x == 1) or (dims.ny > 1 and s.sub_y == 1):
-                raise NoValidSplit(
+                raise PlanError(
                     "stage periods (%d, %d) leave a dimension of (%d, %d) "
                     "unsubsampled" % (s.sub_x, s.sub_y, dims.nx, dims.ny))
             self._check_shifts(s)
         self._check_factor_structure()
 
     def _check_shifts(self, s: StageConfig) -> None:
-        dims = self.dims
-        if not s.shifts or s.shifts[0] != (0, 0):
-            raise PlanError("first shift must be (0, 0), got %r" % (s.shifts[:1],))
-        for s1, s2 in s.shifts:
-            if not (0 <= s1 < dims.nx and 0 <= s2 < dims.ny):
-                raise PlanError("shift (%d, %d) not reduced mod (%d, %d)"
-                                % (s1, s2, dims.nx, dims.ny))
-        if self.mode == MODE_NOISELESS:
-            want = noiseless_shifts(dims)
-            if s.shifts != want:
-                raise PlanError("noiseless stages use the shift list %r, got %r"
-                                % (want, s.shifts))
-        else:
-            want = robust_chain_count(dims, self.robust_params)
-            if len(s.shifts) != want:
-                raise PlanError("robust stage has %d shifts, expected %d"
-                                % (len(s.shifts), want))
+        if self.mode == MODE_ROBUST:
+            check_robust_layout(self.dims, s.shifts, self.robust_params)
+        elif s.shifts != noiseless_shifts(self.dims):
+            raise PlanError("noiseless stages use the shift list %r, got %r"
+                            % (noiseless_shifts(self.dims), s.shifts))
 
     def _check_factor_structure(self) -> None:
         """Bin counts must realize a co-prime factor list in either regime."""
@@ -236,7 +278,7 @@ class FfastPlan:
                 return
             except PlanError:
                 pass
-        raise NoValidSplit(
+        raise PlanError(
             "stage bin counts %r do not realize a co-prime factor split of %d"
             % (self.bin_counts, n))
 
@@ -244,13 +286,13 @@ class FfastPlan:
 def _check_factors(factors: list[int], n: int) -> None:
     """Factors must be >= 2, pairwise co-prime and multiply to n."""
     if min(factors) < 2:
-        raise NoValidSplit("factors must all be >= 2, got %r" % (factors,))
+        raise PlanError("factors must all be >= 2, got %r" % (factors,))
     for a, b in combinations(factors, 2):
         if math.gcd(a, b) != 1:
-            raise NotCoprime("factors %d and %d share a divisor" % (a, b))
+            raise PlanError("factors %d and %d share a divisor" % (a, b))
     if math.prod(factors) != n:
-        raise ProductMismatch("factor product %d != nx*ny = %d"
-                              % (math.prod(factors), n))
+        raise PlanError("factor product %d != nx*ny = %d"
+                        % (math.prod(factors), n))
 
 
 @dataclass
@@ -328,17 +370,15 @@ def build_plan(dims: Dims, factors, regime: str = REGIME_LESS_SPARSE,
     _check_factors(factors, dims.n)
     if regime not in (REGIME_LESS_SPARSE, REGIME_VERY_SPARSE):
         raise PlanError("unknown regime %r" % (regime,))
-    if mode == MODE_ROBUST:
-        if robust_params is None:
-            robust_params = RobustParams()
-        from .robust import design_shifts  # local import, robust builds on core
+    if mode == MODE_ROBUST and robust_params is None:
+        robust_params = RobustParams()
 
     stages = []
     for i, f in enumerate(factors):
         bin_count = dims.n // f if regime == REGIME_LESS_SPARSE else f
         split = _split_bins(dims, bin_count)
         if split is None:
-            raise NoValidSplit(
+            raise PlanError(
                 "factor %d: no bin grid of size %d divides dims (%d, %d) "
                 "while subsampling every nontrivial dimension"
                 % (f, bin_count, dims.nx, dims.ny))

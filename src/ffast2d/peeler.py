@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (Dims, FfastError, FfastPlan, MODE_NOISELESS, DecodeReport,
+from .core import (Dims, FfastPlan, MODE_NOISELESS, DecodeReport,
                    SparseSpectrum, STATUS_NOT_A_SINGLETON_LOOP,
                    STATUS_RESIDUAL_LEFT, STATUS_SUCCESS)
 from .frontend import _frozen, distinct_cells, run_frontend, stage_lattices
@@ -88,10 +88,6 @@ DEFAULT_TOL_RESIDUAL = 1e-6
 WHOLE_ARRAY_BATCH = 256
 
 _TWO_PI = 2 * math.pi
-
-
-class WrongShiftLayout(FfastError, ValueError):
-    """Observation chains do not follow the expected shift layout."""
 
 
 @dataclass(frozen=True)
@@ -131,17 +127,9 @@ def observation_zero_threshold(stacks) -> float:
 
 def ratio_estimates(values, dims: Dims) -> tuple[float, float]:
     """Raw (pre-rounding) location estimates from the observation phases."""
-    values = np.asarray(values)
-    est_u, est_v = 0.0, 0.0
-    idx = 1
-    if dims.nx > 1:
-        est_u = float(np.angle(values[1] * np.conj(values[0]))
-                      * dims.nx / (2 * np.pi) % dims.nx)
-        idx = 2
-    if dims.ny > 1:
-        est_v = float(np.angle(values[idx] * np.conj(values[0]))
-                      * dims.ny / (2 * np.pi) % dims.ny)
-    return est_u, est_v
+    anchor, yx, yy = _three_planes(np.asarray(values), dims)
+    return tuple(float(np.angle(y * np.conj(anchor)) * n / (2 * np.pi) % n)
+                 for y, n in ((yx, dims.nx), (yy, dims.ny)))
 
 
 def _three_planes(cols: np.ndarray, dims: Dims) -> np.ndarray:

@@ -1,14 +1,15 @@
-"""Noise-robust chain design and the robust bin classifier.
+"""The noise-robust bin classifier.
 
 A robust plan goes through the same peeler.decode as a noiseless one
 (same front end, rounds, batched subtraction and status rules); only
-the classifier built here and the shift design differ. After the first
-pass, the engine hands the classifier only the bins of a stage that a
-step's subtraction touched, one call per stage, as the classifier reads
-each stage's own lattice geometry. Each live column costs a ladder
-decode over many chains, so this classifier stays vectorized across the
-columns it is given, where the noiseless one is a scalar loop for small
-batches.
+the classifier built here and the shift design differ, and core owns
+that design and its check (core.design_shifts, check_robust_layout).
+After the first pass, the engine hands the classifier only the bins of
+a stage that a step's subtraction touched, one call per stage, as the
+classifier reads each stage's own lattice geometry. Each live column
+costs a ladder decode over many chains, so this classifier stays
+vectorized across the columns it is given, where the noiseless one is a
+scalar loop for small batches.
 
 The ratio test breaks down once observations carry noise, so robust
 stages use many chains: an anchor plus, per dimension and per bit level
@@ -39,44 +40,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (Dims, FfastPlan, RobustParams, StageConfig, bit_levels,
-                   robust_chain_count)
+from .core import (Dims, FfastPlan, PlanError, RobustParams, StageConfig,
+                   bit_levels, check_robust_layout, design_shifts,
+                   robust_pairs)
 from .frontend import BinObservation, _frozen, stage_lattices
-from .peeler import (BinClass, WrongShiftLayout, decode,
-                     observation_zero_threshold)
+from .peeler import BinClass, decode, observation_zero_threshold
 from .roots import unit_roots
 
 # a singleton's least-squares value must stand this many standard
 # deviations of its noise above zero
 VALUE_SIGMAS = 4.0
-
-
-def design_shifts(dims: Dims, params: RobustParams, seed: int):
-    """Anchor plus per-dimension dyadic offset pairs; deterministic in seed.
-
-    Offsets are rejection-sampled for distinctness against all shifts so
-    far; tiny grids that cannot avoid repeats fall back to duplicates.
-    """
-    rng = np.random.default_rng(seed)
-    shifts = [(0, 0)]
-    used = {(0, 0)}
-    reps = params.chains_per_dim * params.reps
-    for n, along_x in ((dims.nx, True), (dims.ny, False)):
-        for j in range(bit_levels(n)):
-            step = 1 << j
-            for _ in range(reps):
-                pair = None
-                for _ in range(64):
-                    r = int(rng.integers(n))
-                    a, b = r, (r + step) % n
-                    cand = ((a, 0), (b, 0)) if along_x else ((0, a), (0, b))
-                    if cand[0] not in used and cand[1] not in used:
-                        pair = cand
-                        break
-                    pair = pair or cand
-                used.update(pair)
-                shifts.extend(pair)
-    return tuple(shifts)
 
 
 @dataclass(frozen=True)
@@ -91,32 +64,16 @@ class _DimLadder:
     c2: np.ndarray
 
 
-def _parse_layout(shifts, dims: Dims, params: RobustParams):
-    """Validates the design_shifts structure and indexes its pairs."""
-    if len(shifts) != robust_chain_count(dims, params):
-        raise WrongShiftLayout("expected %d chains, got %d"
-                               % (robust_chain_count(dims, params), len(shifts)))
-    if tuple(shifts[0]) != (0, 0):
-        raise WrongShiftLayout("first chain must be the unshifted anchor")
-    reps = params.chains_per_dim * params.reps
+@lru_cache(maxsize=16)
+def _ladders(dims: Dims, params: RobustParams) -> tuple[_DimLadder, ...]:
+    """The x and y ladders of the robust layout (core.robust_pairs)."""
+    axes = np.array([axis for axis, _, _ in robust_pairs(dims, params)])
     ladders = []
-    c = 1
-    for n, along_x in ((dims.nx, True), (dims.ny, False)):
-        firsts = []
-        for j in range(bit_levels(n)):
-            step = 1 << j
-            for _ in range(reps):
-                (a1, a2), (b1, b2) = shifts[c], shifts[c + 1]
-                on, off = ((a1, b1), (a2, b2)) if along_x else ((a2, b2), (a1, b1))
-                if off != (0, 0) or (on[1] - on[0]) % n != step:
-                    raise WrongShiftLayout(
-                        "chains %d,%d do not form a level-%d pair in %s"
-                        % (c, c + 1, j, "x" if along_x else "y"))
-                firsts.append(c)
-                c += 2
-        c1 = _frozen(firsts)
-        ladders.append(_DimLadder(n, bit_levels(n), reps, c1, _frozen(c1 + 1)))
-    return ladders
+    for axis, n in enumerate((dims.nx, dims.ny)):
+        c1 = _frozen(1 + 2 * np.flatnonzero(axes == axis))
+        ladders.append(_DimLadder(n, bit_levels(n), params.pairs_per_level,
+                                  c1, _frozen(c1 + 1)))
+    return tuple(ladders)
 
 
 def _ladder_decode(ys: np.ndarray, ladder: _DimLadder) -> np.ndarray:
@@ -174,20 +131,11 @@ class _StageChains:
         return planes[self.inv] * ramp
 
 
-def _independent_chains(shifts, dims: Dims, params: RobustParams):
-    """A lone observation: every chain is its own plane."""
-    n = len(shifts)
-    return _StageChains(tuple(_parse_layout(shifts, dims, params)),
-                        np.asarray(shifts, dtype=np.int64), np.arange(n),
-                        np.zeros((n, 2), dtype=np.int64),
-                        np.ones(n, dtype=np.int64), n, (1, 1))
-
-
 @lru_cache(maxsize=16)
 def _stage_chains(dims: Dims, stage: StageConfig,
                   params: RobustParams) -> _StageChains:
     lat = stage_lattices(dims, stage)
-    return _StageChains(tuple(_parse_layout(stage.shifts, dims, params)),
+    return _StageChains(_ladders(dims, params),
                         _frozen(stage.shifts), lat.inv, lat.dq, lat.sizes,
                         float(lat.sizes @ lat.sizes),
                         (stage.bins_x, stage.bins_y))
@@ -233,13 +181,17 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
     """Classifies one robust-layout observation vector.
 
     A lone vector carries no lattice structure, so its chains count as
-    independent.
+    independent: every chain is its own plane.
     """
-    chains = _independent_chains(obs.shifts, dims, params)
+    check_robust_layout(dims, obs.shifts, params)
+    n = len(obs.shifts)
+    chains = _StageChains(_ladders(dims, params),
+                          np.asarray(obs.shifts, dtype=np.int64), np.arange(n),
+                          np.zeros((n, 2), dtype=np.int64),
+                          np.ones(n, dtype=np.int64), n, (1, 1))
     ys = np.asarray(obs.values, dtype=np.complex128)[:, None]
-    if ys.shape[0] != len(obs.shifts):
-        raise WrongShiftLayout("expected %d chain values, got %d"
-                               % (len(obs.shifts), ys.shape[0]))
+    if ys.shape[0] != n:
+        raise PlanError("expected %d chain values, got %d" % (n, ys.shape[0]))
     sigma2 = params.noise_var if noise_var is None else noise_var
     return BinClass.from_scan(_robust_scan(ys, np.zeros(1, dtype=np.int64),
                                            chains, dims, params, sigma2,
@@ -260,5 +212,6 @@ def robust_classifier(plan: FfastPlan, zero_thresh: float):
     return classify
 
 
-# the one decode's other name, imported by criteria 5, 8, 9 and perfbench
+# the one decode's other name, imported by criteria 5, 8, 9 and perfbench;
+# design_shifts, from core, is imported from here by criterion 8
 robust_decode = decode

@@ -267,6 +267,18 @@ MALFORMED_INPUTS = {
     "decode-snr-db-nan": ("decode-flags", b"--snr-db nan"),
     "decode-min-magnitude-nan": ("decode-flags", b"--min-magnitude nan"),
     "sweep-min-magnitude-nan": ("sweep-flags", b"--min-magnitude nan"),
+    "sweep-trials-zero": ("sweep-flags", b"--trials 0"),
+    "sweep-trials-negative": ("sweep-flags", b"--trials -3"),
+    "bench-trials-zero": ("bench-flags", b"--trials 0"),
+    # robust-only flags on a noiseless plan
+    "sweep-noiseless-sigma2": ("sweep-flags", b"--sigma2 1e-9"),
+    "sweep-noiseless-reps": ("sweep-flags", b"--reps 3"),
+    "plan-noiseless-sigma2": ("plan-flags", b"--sigma2 5"),
+    "plan-noiseless-chains": ("plan-flags", b"--chains 2"),
+    "plan-noiseless-reps": ("plan-flags", b"--reps 7"),
+    "plan-noiseless-design-seed": ("plan-flags", b"--design-seed 3"),
+    "plan-sigma2-nan": ("plan-flags", b"--sigma2 nan"),
+    "plan-sigma2-negative": ("plan-flags", b"--sigma2 -1"),
 }
 
 
@@ -286,6 +298,12 @@ def test_cli_readers_refuse_malformed_input(tmp_path, capsys, name):
     elif reader == "sweep-flags":
         argv = (["sweep", "--nx", "6", "--ny", "6", "--factors", "9,4",
                  "--k-list", "2", "--trials", "1"] + raw.decode().split())
+    elif reader == "bench-flags":
+        argv = (["bench", "--nx-list", "315", "--trials", "1"]
+                + raw.decode().split())
+    elif reader == "plan-flags":
+        argv = (["plan", "--nx", "6", "--ny", "6", "--factors", "9,4",
+                 "--out", str(tmp_path / "plan.json")] + raw.decode().split())
     else:
         argv = ["decode", "--plan", _write_plan(tmp_path),
                 "--" + reader, str(path)]

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from ffast2d.core import (Constellation, Dims, FfastPlan, NoValidSplit,
-                          NotCoprime, PlanError, ProductMismatch,
+from ffast2d.core import (Constellation, Dims, FfastPlan, PlanError,
                           RobustParams, SparseSpectrum, StageConfig,
                           bit_levels, build_plan, noiseless_shifts, plan_eta,
                           plan_from_json, plan_sample_budget, plan_to_json,
@@ -67,7 +66,7 @@ def test_build_plan_single_stage_of_one_bin_rejected():
 
 @pytest.mark.parametrize("regime", ["less-sparse", "very-sparse"])
 def test_build_plan_4x5_has_no_split(regime):
-    with pytest.raises(NoValidSplit):
+    with pytest.raises(PlanError, match="no bin grid"):
         build_plan(Dims(4, 5), [4, 5], regime=regime)
 
 
@@ -78,26 +77,26 @@ def test_build_plan_one_row_grid_splits():
 
 
 def test_build_plan_rejects_shared_divisor():
-    with pytest.raises(NotCoprime):
+    with pytest.raises(PlanError, match="share a divisor"):
         build_plan(Dims(12, 12), [6, 24])
 
 
 def test_build_plan_rejects_product_mismatch():
-    with pytest.raises(ProductMismatch):
+    with pytest.raises(PlanError, match="factor product"):
         build_plan(Dims(6, 6), [4, 5])
 
 
 def test_build_plan_factor_errors_keep_their_order():
     # a unit factor is reported before a shared divisor, and a shared
     # divisor before a wrong product
-    with pytest.raises(NoValidSplit):
+    with pytest.raises(PlanError, match=">= 2"):
         build_plan(Dims(12, 12), [1, 6, 4])
-    with pytest.raises(NotCoprime):
+    with pytest.raises(PlanError, match="share a divisor"):
         build_plan(Dims(12, 12), [6, 4])
 
 
 def test_build_plan_rejects_unit_factor():
-    with pytest.raises(NoValidSplit):
+    with pytest.raises(PlanError, match=">= 2"):
         build_plan(Dims(6, 6), [1, 36])
 
 
@@ -116,7 +115,7 @@ def test_very_sparse_regime_uses_single_factors():
 
 
 def test_stage_config_divisibility():
-    with pytest.raises(NoValidSplit):
+    with pytest.raises(PlanError, match="does not divide"):
         StageConfig.from_subsampling(Dims(6, 6), 4, 2, [(0, 0)])
 
 
@@ -135,7 +134,7 @@ def test_validate_rejects_a_stage_that_does_not_subsample():
     shifts = noiseless_shifts(dims)
     stages = (StageConfig.from_subsampling(dims, 1, 9, shifts),
               StageConfig.from_subsampling(dims, 4, 1, shifts))
-    with pytest.raises(NoValidSplit, match="unsubsampled"):
+    with pytest.raises(PlanError, match="unsubsampled"):
         FfastPlan(dims, stages).validate()
 
 
@@ -212,6 +211,30 @@ def _robust_plan_text(**robust):
     return json.dumps(doc)
 
 
+def _robust_shifts_text(edit):
+    # the 60x60 robust plan's document with stage 0's shift list changed
+    # in place by edit; its chains 1 and 2 are x-pairs (r, 0), (r + 1, 0)
+    doc = _robust_doc()
+    edit(doc["stages"][0]["shifts"])
+    return json.dumps(doc)
+
+
+def _swap_first_pair(shifts):
+    shifts[1], shifts[2] = shifts[2], shifts[1]
+
+
+def _step_first_pair_by_two(shifts):
+    shifts[2][0] = (shifts[1][0] + 2) % 60
+
+
+def _lift_first_pair_off_axis(shifts):
+    shifts[1][1] = shifts[2][1] = 7
+
+
+def _shift_the_anchor(shifts):
+    shifts[0] = [1, 0]
+
+
 def _noiseless_plan_text(edit):
     # the 6x6 [9, 4] plan's document, changed in place by edit
     doc = json.loads(plan_to_json(build_plan(Dims(6, 6), [9, 4])))
@@ -255,6 +278,16 @@ def test_plan_json_integral_floats_read_as_ints():
     pytest.param(_noiseless_plan_text(
         lambda doc: doc["stages"][0].update(shifts=[[0, 0], [0, 1], [1, 0]])),
         id="noiseless-swapped-shifts"),
+    # the robust dyadic pair layout, which decode would read only after
+    # the front end had sampled the grid
+    pytest.param(_robust_shifts_text(_swap_first_pair),
+                 id="robust-swapped-pair"),
+    pytest.param(_robust_shifts_text(_step_first_pair_by_two),
+                 id="robust-wrong-level-step"),
+    pytest.param(_robust_shifts_text(_lift_first_pair_off_axis),
+                 id="robust-off-axis-offset"),
+    pytest.param(_robust_shifts_text(_shift_the_anchor),
+                 id="robust-non-anchor-first"),
     pytest.param("[" * 200_000 + "]" * 200_000, id="deep-nesting"),
 ])
 def test_plan_json_malformed(text):

@@ -1,10 +1,11 @@
-"""Seeded decodes pinned to recorded outcomes.
+"""Seeded decodes and robust plans pinned to recorded outcomes.
 
 Each case is one seeded decode whose status, round count, first-pass bin
 statistics, charged and distinct reads and recovered support are written
 down here. A change that claims to leave decoding alone must keep every
 one of them; the support is compared through a sha256 of its sorted
-locations.
+locations. A grid of robust plans is pinned the same way, through a
+sha256 of their plan documents.
 """
 
 import hashlib
@@ -12,7 +13,8 @@ import math
 
 import pytest
 
-from ffast2d.core import Constellation, Dims, RobustParams, build_plan
+from ffast2d.core import (Constellation, Dims, PlanError, RobustParams,
+                          build_plan, plan_from_json, plan_to_json)
 from ffast2d.oracle import NoisySource, gen_instance
 from ffast2d.peeler import decode
 from ffast2d.robust import robust_decode
@@ -105,3 +107,31 @@ def test_seeded_decode_matches_its_record(run, status, rounds, bin_stats,
 def test_robust_decode_is_decode():
     # one decode for both modes; the robust records above go through it
     assert robust_decode is decode
+
+
+PLAN_GRID = [((60, 60), [16, 9, 25]), ((280, 280), [25, 64, 49]),
+             ((2520, 2520), [81, 25, 49, 64]), ((1, 20), [4, 5]),
+             ((1, 182), [13, 14])]
+PLAN_GRID_SHA256 = (
+    "d8994bd3d09152299e5eefc73268c084e5f3c635e8db8adf6d1344502a06ab14")
+
+
+def test_robust_plans_match_their_record():
+    # every regime, reps 1, 3 and 5 and design seeds 0-3 of each grid;
+    # each plan must also read back from its own document
+    docs = []
+    for (nx, ny), factors in PLAN_GRID:
+        for regime in ("less-sparse", "very-sparse"):
+            for reps in (1, 3, 5):
+                for seed in range(4):
+                    try:
+                        plan = build_plan(
+                            Dims(nx, ny), factors, regime, "robust",
+                            RobustParams(reps=reps, noise_var=1.0, seed=seed))
+                    except PlanError:
+                        continue
+                    docs.append(plan_to_json(plan))
+                    assert plan_from_json(docs[-1]) == plan
+    assert len(docs) == 120
+    digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+    assert digest == PLAN_GRID_SHA256

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ffast2d.core import (Constellation, Dims, RobustParams, SparseSpectrum,
-                          build_plan, robust_chain_count, STATUS_SUCCESS)
+from ffast2d.core import (Constellation, Dims, FfastPlan, PlanError,
+                          RobustParams, SparseSpectrum, build_plan,
+                          robust_chain_count, STATUS_SUCCESS)
 from ffast2d.frontend import BinObservation, NonFiniteSample, run_frontend
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
                             gen_instance, synthesize_dense)
 from ffast2d.peeler import (KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
-                            BinClass, WrongShiftLayout, _ratio_scan, decode)
+                            BinClass, _ratio_scan, decode)
 from ffast2d import peeler
 from ffast2d.robust import (_ladder_decode, _stage_chains, design_shifts,
                             robust_classify, robust_decode)
@@ -99,11 +102,11 @@ def test_robust_classify_rejects_wrong_layout():
     params = RobustParams(chains_per_dim=1, reps=1, noise_var=0.0)
     noiseless = BinObservation(0, (0, 0), np.ones(3, dtype=complex),
                                ((0, 0), (1, 0), (0, 1)))
-    with pytest.raises(WrongShiftLayout):
+    with pytest.raises(PlanError):
         robust_classify(noiseless, dims, params)
     shifts = design_shifts(dims, params, seed=1)
     broken = ((1, 0),) + shifts[1:]
-    with pytest.raises(WrongShiftLayout):
+    with pytest.raises(PlanError):
         robust_classify(BinObservation(0, (0, 0),
                                        np.ones(len(shifts), dtype=complex),
                                        broken), dims, params)
@@ -262,6 +265,20 @@ def test_robust_peel_classifies_each_stage_once_per_step(monkeypatch):
     assert [(si, type(idx)) for si, idx in calls[:stages]] == [
         (si, slice) for si in range(stages)]
     assert [si for si, _ in calls[stages:]] == list(range(stages)) * len(steps)
+
+
+def test_decode_refuses_a_broken_robust_layout_before_reading():
+    # stage 0's first dyadic pair swapped: (r + 1, 0) before (r, 0)
+    plan, _ = _robust_plan_60(reps=1)
+    shifts = plan.stages[0].shifts
+    swapped = shifts[:1] + (shifts[2], shifts[1]) + shifts[3:]
+    stages = (dataclasses.replace(plan.stages[0], shifts=swapped),
+              ) + plan.stages[1:]
+    broken = FfastPlan(plan.dims, stages, plan.mode, plan.robust_params)
+    source = gen_instance(plan.dims, 8, seed=2).source
+    with pytest.raises(PlanError, match="dyadic pair layout"):
+        decode(source, broken)
+    assert source.access_count == 0
 
 
 def test_robust_decode_rejects_non_finite_sample():
