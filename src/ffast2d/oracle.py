@@ -7,8 +7,10 @@ directly from exponent matrices, independent of any FFT routine.
 Signal sources expose the sampling contract used by the front end: every
 read goes through sample_grid or sample_points and bumps an access
 counter, so decoders can prove how many samples they touched. A grid read
-is charged every cell it returns, repeats included, but evaluates each
-distinct row and column only once. The sparse
+is charged len(rows) * len(cols) cells, repeats included, and returns
+each distinct cell once: the grid of its distinct rows by its distinct
+columns, each in first-seen order (_first_seen). A read without repeats
+returns exactly the rows x cols grid asked for. The sparse
 exponential-sum source evaluates Eq-style synthesis
 x[a][b] = sum_t X_t e^{+2j*pi*(a*u_t/nx + b*v_t/ny)} lazily in O(k) per
 sample, which keeps grids like 2520x2520 virtual. Its phases come from
@@ -42,10 +44,11 @@ class SignalSource:
 
     Subclasses implement two hooks on reduced int64 indices: _grid(rows,
     cols), the (rows, cols) product, and _points(aa, bb), the paired cells.
-    The public readers sample_grid and sample_points bump access_count by
-    exactly the number of samples served. _grid only ever sees distinct
-    rows and distinct columns: sample_grid evaluates the distinct ones and
-    gathers the repeats back.
+    The public readers take 1-D index arrays and bump access_count by the
+    number of samples asked for. sample_grid hands _grid the distinct rows
+    and distinct columns, in first-seen order, and returns _grid's result
+    as it is: a read with repeats is charged them but returns each
+    distinct cell once.
     """
 
     def __init__(self, dims: Dims):
@@ -59,31 +62,36 @@ class SignalSource:
         raise NotImplementedError
 
     def sample_grid(self, rows, cols) -> np.ndarray:
-        """Samples the cartesian product rows x cols, shape (rows, cols).
+        """Samples the distinct cells of rows x cols.
 
-        Charges len(rows) * len(cols) samples. Each distinct row and column
-        is evaluated once, in first-seen order; repeated ones are copied.
+        Charges len(rows) * len(cols) samples. Returns shape (distinct
+        rows, distinct cols), each in first-seen order (_first_seen); for
+        a read without repeats that is the (rows, cols) grid.
         """
-        rows = np.asarray(rows, dtype=np.int64) % self.dims.nx
-        cols = np.asarray(cols, dtype=np.int64) % self.dims.ny
+        rows = _indices(rows, self.dims.nx, "sample_grid")
+        cols = _indices(cols, self.dims.ny, "sample_grid")
         self.access_count += len(rows) * len(cols)
-        rows, row_at = _first_seen(rows, self.dims.nx)
-        cols, col_at = _first_seen(cols, self.dims.ny)
-        grid = self._grid(rows, cols)
-        if row_at is not None:
-            grid = grid[row_at]
-        if col_at is not None:
-            grid = grid[:, col_at]
-        return grid
+        return self._grid(_first_seen(rows, self.dims.nx)[0],
+                          _first_seen(cols, self.dims.ny)[0])
 
     def sample_points(self, aa, bb) -> np.ndarray:
         """Samples paired coordinates (aa[i], bb[i])."""
-        aa = np.asarray(aa, dtype=np.int64) % self.dims.nx
-        bb = np.asarray(bb, dtype=np.int64) % self.dims.ny
+        aa = _indices(aa, self.dims.nx, "sample_points")
+        bb = _indices(bb, self.dims.ny, "sample_points")
         if aa.shape != bb.shape:
             raise ValueError("paired index arrays differ in shape")
         self.access_count += len(aa)
         return self._points(aa, bb)
+
+
+def _indices(idx, n: int, reader: str) -> np.ndarray:
+    """idx as 1-D int64 reduced modulo n; a reader charges len(idx) per
+    axis, so any other shape is refused."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ValueError("%s takes 1-D index arrays, not shape %r"
+                         % (reader, idx.shape))
+    return idx % n
 
 
 def _first_seen(idx: np.ndarray, n: int):

@@ -200,6 +200,9 @@ def _frontend_case(kind):
     if kind == "noiseless":
         dims = Dims(30, 30)
         plan = build_plan(dims, [4, 9, 25])
+    elif kind == "criterion-8":
+        plan = _criterion_8_plan()
+        dims = plan.dims
     else:
         dims = Dims(60, 60)
         params = RobustParams(chains_per_dim=1, reps=3, noise_var=1.0, seed=5)
@@ -209,7 +212,8 @@ def _frontend_case(kind):
     return plan, inst.source, inst.truth
 
 
-@pytest.mark.parametrize("kind", ["noiseless", "robust", "diagonal"])
+@pytest.mark.parametrize("kind", ["noiseless", "robust", "criterion-8",
+                                  "diagonal"])
 def test_stage_observations_match_alias_oracle_chain_by_chain(kind):
     plan, src, truth = _frontend_case(kind)
     dims = plan.dims
@@ -218,7 +222,7 @@ def test_stage_observations_match_alias_oracle_chain_by_chain(kind):
         # stage periods read one lattice
         lattices = {(s1 % stage.sub_x, s2 % stage.sub_y)
                     for s1, s2 in stage.shifts}
-        if kind == "robust":
+        if kind in ("robust", "criterion-8"):
             assert len(lattices) < len(stage.shifts)
         else:
             assert len(lattices) == len(stage.shifts)
@@ -233,7 +237,11 @@ def test_stage_observations_match_alias_oracle_chain_by_chain(kind):
 
 
 class _CountingSource:
-    """Delegates reads to a source and counts its sample_grid calls."""
+    """Delegates reads to a source and counts its sample_grid calls.
+
+    Like a benchmark's timing wrapper it has only dims, access_count and
+    the two readers, and passes every returned array through untouched.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -254,10 +262,14 @@ class _CountingSource:
 
 def test_run_frontend_reads_two_grids_per_stage():
     plan = _criterion_8_plan()
-    counter = _CountingSource(gen_instance(plan.dims, 50, seed=900).source)
+    source = gen_instance(plan.dims, 50, seed=900).source
+    counter = _CountingSource(source)
     stacks = run_frontend(plan, counter)
     assert counter.grid_calls == 2 * len(plan.stages)
     assert counter.access_count == plan_sample_budget(plan)
+    # the front end sees through the wrapper exactly what it reads directly
+    direct = run_frontend(plan, source)
+    assert all(np.array_equal(a, b) for a, b in zip(stacks, direct))
     # 181 chains per stage on 9, 15 and 13 distinct lattices
     assert [len(s.shifts) for s in plan.stages] == [181] * 3
     assert [len(s) for s in stacks] == [9, 15, 13]
@@ -265,7 +277,8 @@ def test_run_frontend_reads_two_grids_per_stage():
 
 def test_run_frontend_peak_memory_near_its_output():
     # one plane per lattice, and the FFT runs in place: the largest
-    # transient is one read group, well below a plane for every chain
+    # transient is one read's distinct cells, far below a plane for every
+    # chain
     plan = _criterion_8_plan()
     rho = 10 ** 1.3 / Constellation(1.0, 2, 8).mean_power()
     inst = gen_instance(plan.dims, 50, Constellation(rho, 2, 8), seed=900)
@@ -280,7 +293,7 @@ def test_run_frontend_peak_memory_near_its_output():
         tracemalloc.stop()
     per_chain = sum(len(s.shifts) * s.bin_count * 16 for s in plan.stages)
     assert sum(s.nbytes for s in stacks) < per_chain / 10
-    assert peak <= 0.75 * per_chain
+    assert peak <= 0.25 * per_chain
 
 
 class _RecordingSource(SignalSource):

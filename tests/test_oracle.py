@@ -194,32 +194,61 @@ REPEATED_READS = [
 
 @pytest.mark.parametrize("rows,cols", REPEATED_READS)
 def test_sample_grid_with_repeats_matches_separate_reads(rows, cols):
+    # a read is charged every cell asked for, repeats included, and
+    # returns its distinct rows by its distinct columns in first-seen order
     dims = Dims(24, 18)
     truth = _random_spectrum(dims, 15, np.random.default_rng(14))
     dense = synthesize_dense(truth)
-    want = dense[np.ix_(rows % 24, cols % 18)]
+    distinct_rows = list(dict.fromkeys((rows % 24).tolist()))
+    distinct_cols = list(dict.fromkeys((cols % 18).tolist()))
+    want = dense[np.ix_(distinct_rows, distinct_cols)]
     charge = len(rows) * len(cols)
 
     arr = ArraySource(dense)
-    assert np.array_equal(arr.sample_grid(rows, cols), want)
+    got = arr.sample_grid(rows, cols)
+    assert got.shape == (len(distinct_rows), len(distinct_cols))
+    assert np.array_equal(got, want)
     assert arr.access_count == charge
 
     src = ExponentialSumSource(truth)
-    assert np.max(np.abs(src.sample_grid(rows, cols) - want)) < 1e-10
+    got = src.sample_grid(rows, cols)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-10
     assert src.access_count == charge
 
     # noise is a pure function of the cell: a read with repeats is
-    # bit-identical to one read per cell, and the inner source is charged
-    # the distinct cells only
+    # bit-identical to one read per distinct cell, and the inner source is
+    # charged the distinct cells only
     inner = ArraySource(dense)
     noisy = NoisySource(inner, sigma2=0.5, seed=9)
     got = noisy.sample_grid(rows, cols)
     assert noisy.access_count == charge
-    distinct = len(set(rows % 24)) * len(set(cols % 18))
-    assert inner.access_count == distinct
-    cells = np.array([[noisy.sample_points([a], [b])[0] for b in cols]
-                      for a in rows])
+    assert inner.access_count == want.size
+    cells = np.array([[noisy.sample_points([a], [b])[0]
+                       for b in distinct_cols] for a in distinct_rows])
     assert np.array_equal(got, cells)
+
+
+NOT_1D_READS = [
+    ("sample_points", [[0, 1], [2, 3]], [[0, 1], [2, 3]]),
+    ("sample_points", 3, 4),
+    ("sample_grid", [[0, 1], [2, 3]], [0, 1]),
+    ("sample_grid", [0, 1], 2),
+]
+
+
+@pytest.mark.parametrize("reader,a,b", NOT_1D_READS)
+@pytest.mark.parametrize("make", [
+    lambda: ArraySource(np.arange(16.).reshape(4, 4)),
+    lambda: ExponentialSumSource(
+        SparseSpectrum.from_entries(Dims(4, 4), {(1, 2): 1.0, (3, 0): 2j})),
+], ids=["array", "expsum"])
+def test_readers_refuse_indices_that_are_not_1d(make, reader, a, b):
+    # a reader charges len() of each index array, so it takes 1-D ones only
+    src = make()
+    with pytest.raises(ValueError, match=reader):
+        getattr(src, reader)(a, b)
+    assert src.access_count == 0
 
 
 def test_base_source_has_no_read_of_its_own():
