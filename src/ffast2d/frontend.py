@@ -25,10 +25,10 @@ rows by its distinct columns, in first-seen order. A lattice that several
 chains of one read share thus comes back once.
 
 Only each lattice's first chain is kept from the reads: per read, a cached
-selector says where its cells sit in the returned grid. A read whose
-chains are all kept and that has no repeats, as every noiseless read, is
-the stack itself and takes no gather. The (lattices, bins_x, bins_y) stack
-then takes one batched FFT, in place.
+selector says where its cells sit in the returned grid, and one gather
+fills the planes. A read that returns any other shape than its distinct
+rows by its distinct columns is refused. The (lattices, bins_x, bins_y)
+stack then takes one batched FFT, in place.
 """
 
 from __future__ import annotations
@@ -72,13 +72,11 @@ class StageLattices:
     exp(2j*pi*(dq_x*i/bins_x + dq_y*j/bins_y)). sizes[g] counts the chains
     on lattice g and lead[g] is the shift of its first chain.
 
-    Each entry of reads is one grid read, (rows, cols, by_column, cells,
-    planes): the read's arguments, whether its chains run along rows
-    (by_column) or along columns, and the planes its kept chains fill.
-    cells, shape (kept chains, bins_x, bins_y), is where each kept cell
-    sits in the flattened grid the read returns (distinct rows by distinct
-    columns, in first-seen order); it is None when the read keeps every
-    chain and has no repeats, so the grid is the planes as they are.
+    Each entry of reads is one grid read, (rows, cols, shape, cells,
+    planes): the read's arguments, the shape of the grid it returns
+    (distinct rows by distinct columns, in first-seen order), where each
+    kept cell sits in that grid flattened, shape (kept chains, bins_x,
+    bins_y), and the planes the kept chains fill.
     """
 
     inv: np.ndarray
@@ -136,19 +134,18 @@ def stage_lattices(dims: Dims, stage: StageConfig) -> StageLattices:
         keep = np.flatnonzero(first[cs])
         read_rows, read_cols = ((rows[cs].ravel(), cols[cs[0]]) if by_column
                                 else (rows[cs[0]], cols[cs].ravel()))
+        distinct_rows, row_at = _first_seen(read_rows, dims.nx)
         distinct_cols, col_at = _first_seen(read_cols, dims.ny)
-        row_at = _first_seen(read_rows, dims.nx)[1]
-        cells = None
-        if row_at is not None or col_at is not None or len(keep) < len(cs):
-            r = np.arange(len(read_rows)) if row_at is None else row_at
-            c = np.arange(len(read_cols)) if col_at is None else col_at
-            if by_column:
-                r, c = r.reshape(-1, bx)[keep, :, None], c[None, None, :]
-            else:
-                r, c = r[None, :, None], c.reshape(-1, by)[keep, None, :]
-            cells = _frozen(r * len(distinct_cols) + c)
-        reads.append((_frozen(read_rows), _frozen(read_cols), by_column,
-                      cells, _frozen(inv[cs][keep])))
+        r = np.arange(len(read_rows)) if row_at is None else row_at
+        c = np.arange(len(read_cols)) if col_at is None else col_at
+        if by_column:
+            r, c = r.reshape(-1, bx)[keep, :, None], c[None, None, :]
+        else:
+            r, c = r[None, :, None], c.reshape(-1, by)[keep, None, :]
+        reads.append((_frozen(read_rows), _frozen(read_cols),
+                      (len(distinct_rows), len(distinct_cols)),
+                      _frozen(r * len(distinct_cols) + c),
+                      _frozen(inv[cs][keep])))
     return StageLattices(_frozen(inv), _frozen(dq), _frozen(np.bincount(inv)),
                          tuple(lead), tuple(reads))
 
@@ -179,14 +176,13 @@ def stage_observations(source, dims: Dims, stage: StageConfig) -> np.ndarray:
     lat = stage_lattices(dims, stage)
     bx, by = stage.bins_x, stage.bins_y
     out = np.empty((len(lat.lead), bx, by), dtype=np.complex128)
-    for rows, cols, by_column, cells, planes in lat.reads:
+    for rows, cols, shape, cells, planes in lat.reads:
         grid = source.sample_grid(rows, cols)
-        if cells is not None:
-            out[planes] = grid.reshape(-1)[cells]
-        elif by_column:
-            out[planes] = grid.reshape(-1, bx, by)
-        else:
-            out[planes] = grid.reshape(bx, -1, by).transpose(1, 0, 2)
+        if grid.shape != shape:
+            raise ShapeMismatch("a read of %d rows by %d columns returned "
+                                "shape %r, not its distinct cells %r"
+                                % (len(rows), len(cols), grid.shape, shape))
+        out[planes] = grid.reshape(-1)[cells]
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
         raise NonFiniteSample("non-finite sample on the %dx%d lattice at "

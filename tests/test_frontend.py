@@ -10,7 +10,7 @@ from ffast2d.frontend import (NonFiniteSample, ShapeMismatch, run_frontend,
                               stage_lattices, stage_observations)
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
                             SignalSource, alias_sum_oracle, dense_dft_2d,
-                            gen_instance)
+                            gen_instance, synthesize_dense)
 from ffast2d.peeler import decode
 from ffast2d.robust import robust_decode
 
@@ -273,6 +273,38 @@ def test_run_frontend_reads_two_grids_per_stage():
     # 181 chains per stage on 9, 15 and 13 distinct lattices
     assert [len(s.shifts) for s in plan.stages] == [181] * 3
     assert [len(s) for s in stacks] == [9, 15, 13]
+
+
+class _FullGridSource:
+    """A duck-typed source whose grid read returns every cell it is
+    charged, repeats included, rather than each distinct cell once."""
+
+    def __init__(self, signal):
+        self.signal = signal
+        self.dims = Dims(*signal.shape)
+        self.access_count = 0
+
+    def sample_grid(self, rows, cols):
+        self.access_count += len(rows) * len(cols)
+        return self.signal[np.ix_(np.asarray(rows) % self.dims.nx,
+                                  np.asarray(cols) % self.dims.ny)]
+
+    def sample_points(self, aa, bb):
+        raise AssertionError("the front end reads grids only")
+
+
+def test_run_frontend_refuses_a_read_that_returns_its_repeats():
+    # robust reads repeat rows: a grid with the repeats in it would be
+    # read with selectors built for the distinct grid, so it is refused
+    plan, _, truth = _frontend_case("robust")
+    with pytest.raises(ShapeMismatch, match="distinct cells"):
+        run_frontend(plan, _FullGridSource(synthesize_dense(truth)))
+    # noiseless reads have no repeats, so the full grid is the distinct one
+    plan, _, truth = _frontend_case("noiseless")
+    dense = synthesize_dense(truth)
+    got = run_frontend(plan, _FullGridSource(dense))
+    want = run_frontend(plan, ArraySource(dense))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_run_frontend_peak_memory_near_its_output():
