@@ -48,13 +48,27 @@ given, where one whole-array call costs tens of microseconds however few
 columns it gets. Larger batches take one whole-array ratio test, which
 makes the same decisions.
 
-The first pass stays on the scalar loop, although it is one batch of
-every bin, because of criterion 6, whose k-order check compares plans of
-different shape. The 2-stage k = 200 plan [1225, 81] has 1,306 bins and
-decodes in about 3 rounds; the 3-stage k = 100 plan [81, 25, 49] has 155
-bins and about 6 rounds. A whole-array first pass speeds the first far
-more than the second: with it, the k = 100 / k = 200 time ratio was 1.18
-and the k-order held in 0 of 10 repeats.
+The first pass is one batch of every bin. One whole-array magnitude
+test settles most of its multi-tons before the scalar loop (_first_pass):
+a column whose anchor y_0 is above the zero floor, and one of whose
+shifted chains y_c differs from it in magnitude by more than twice the
+residual tolerance, cannot pass the ratio test, as
+|y_c - y_0 w| >= ||y_c| - |y_0|| for every unit root w. Its outcome is
+known: live, not a singleton, location (0, 0) and value y_0, bit for bit
+what the loop returns. On the seed-1 280x280 k = 3821 decode the screen
+settles 3,213 of the 5,961 first-pass columns, and the loop gets the
+other 2,748: 1,106 zero-tons and 1,642 singletons.
+
+Zero-tons and singletons stay on the scalar loop because of criterion 6,
+whose k-order check compares plans of different shape. The 2-stage
+k = 200 plan [1225, 81] has 1,306 bins, about 1,044 of them zero-tons
+and 194 singletons, and decodes in about 3 rounds; the 3-stage k = 100
+plan [81, 25, 49] has 155 bins and about 6 rounds. A whole-array first
+pass speeds the first far more than the second: with it, the
+k = 100 / k = 200 time ratio was 1.18 and the k-order held in 0 of 10
+repeats. The screen takes only the multi-tons, about 68 columns off the
+k = 200 first pass and 83 off the k = 100 one (means over criterion 6's
+seeds), so it leaves that margin alone.
 """
 
 from __future__ import annotations
@@ -118,11 +132,21 @@ def observation_zero_threshold(stacks) -> float:
     success without it: a 30x30 [4, 9, 25] decode of
     {(1, 2): 1e10, (5, 7): 1.0} returns success with one entry.
     """
-    scale = 0.0
-    for stack in stacks:
-        if stack.size:
-            scale = max(scale, float(np.abs(stack[0]).max()))
-    return 1e-9 * scale
+    return 1e-9 * _anchor_peak(stacks)
+
+
+def _anchor_peak(stacks) -> float:
+    """The largest anchor magnitude over all stages, 0 if none."""
+    return max((float(np.abs(stack[0]).max()) for stack in stacks
+                if stack.size), default=0.0)
+
+
+def _unit_scale(stacks) -> float:
+    """The power of two that brings the largest anchor into [0.5, 1).
+
+    1 for all-zero stacks; at most 2^1023, the largest a float holds.
+    """
+    return math.ldexp(1.0, min(-math.frexp(_anchor_peak(stacks))[1], 1023))
 
 
 def ratio_estimates(values, dims: Dims) -> tuple[float, float]:
@@ -199,29 +223,57 @@ def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float):
 
     It makes the same decisions as the scalar loop; angles and products
     may differ from CPython's in the last bit, which moves a decision
-    only for an estimate within one rounding of a tolerance.
+    only for an estimate within one rounding of a tolerance. An angle
+    estimate lies in [-n/2, n/2], so adding n to a negative one is the
+    loop's float `% n`, and only a location rounded up to n wraps to 0.
     """
     planes = _three_planes(cols, dims)
     mags = np.abs(planes)
     mag = mags[0]
-    anchor, ys = planes[0], planes[1:]
+    anchor, yx, yy = planes
     n = np.array([[dims.nx], [dims.ny]])
-    est = np.angle(ys * anchor.conj()) * n / _TWO_PI % n
+    est = np.angle(planes[1:] * anchor.conj()) * n / _TWO_PI
+    est = np.where(est < 0, est + n, est)
     snapped = np.rint(est)
-    loc = snapped.astype(np.int64) % n
-    roots = np.stack([unit_roots(dims.nx)[loc[0]],
-                      unit_roots(dims.ny)[loc[1]]])
+    loc = snapped.astype(np.int64)
+    loc[loc == n] = 0
+    tol = DEFAULT_TOL_RESIDUAL * mag
     single = ((mag > zero_thresh)
               & (np.abs(est - snapped) <= DEFAULT_TOL_ANGLE).all(axis=0)
-              & (np.abs(ys - anchor * roots)
-                 <= DEFAULT_TOL_RESIDUAL * mag).all(axis=0))
+              & (np.abs(yx - anchor * unit_roots(dims.nx)[loc[0]]) <= tol)
+              & (np.abs(yy - anchor * unit_roots(dims.ny)[loc[1]]) <= tol))
     loc *= single
     return (mags.max(axis=0) > zero_thresh, single, loc[0], loc[1],
             cols[0].copy())
 
 
+def _first_pass(cols: np.ndarray, dims: Dims, zero_thresh: float):
+    """_ratio_scan's output, bit for bit, with the columns the ratio test
+    must call multi-tons settled by one magnitude test (see the module doc).
+
+    A column is settled when its anchor is above the zero floor and a
+    shifted chain's magnitude differs from the anchor's by more than
+    twice the residual tolerance; only the other columns go through the
+    loop.
+    """
+    mags = np.abs(_three_planes(cols, dims))
+    mag = mags[0]
+    rest = np.flatnonzero(
+        (mag <= zero_thresh)
+        | (np.abs(mags - mag).max(axis=0) <= 2 * DEFAULT_TOL_RESIDUAL * mag))
+    m = cols.shape[1]
+    nonzero = np.ones(m, dtype=bool)
+    single = np.zeros(m, dtype=bool)
+    uu = np.zeros(m, dtype=np.int64)
+    vv = np.zeros(m, dtype=np.int64)
+    nonzero[rest], single[rest], uu[rest], vv[rest], _ = _ratio_scan(
+        cols[:, rest], dims, zero_thresh)
+    return nonzero, single, uu, vv, cols[0].copy()
+
+
 def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
-                max_rounds: int | None, cut: float, trace=None) -> DecodeReport:
+                max_rounds: int | None, cut: float, unit: float,
+                trace=None) -> DecodeReport:
     """Peels the plan's observation stacks with the given bin classifier.
 
     Each stack holds one plane per distinct lattice of its stage
@@ -233,9 +285,10 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     after it. On a noiseless plan, whose stages share one plane layout
     and whose classifier reads nothing but cols, it is called once per
     step on the columns of all stages side by side, with si None and idx
-    positions in that joint array. Recovered coefficients at or below
-    `cut` in magnitude are dropped from the spectrum. The stacks are
-    consumed.
+    positions in that joint array. The stacks hold the signal times
+    `unit`; recovered coefficients at or below `cut` in those units are
+    dropped from the spectrum, and the spectrum and the trace are divided
+    by `unit`. The stacks are consumed.
     """
     dims = plan.dims
     stages = plan.stages
@@ -304,7 +357,8 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
             peels.append((pu, pv, pval))
             if trace is not None:
                 for b, u, v, value in zip(found.tolist(), pu.tolist(),
-                                          pv.tolist(), pval.tolist()):
+                                          pv.tolist(),
+                                          (pval / unit).tolist()):
                     trace({"round": rounds, "stage": si,
                            "bin": divmod(b, stage.bins_y),
                            "location": (u, v), "value": value})
@@ -318,7 +372,7 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
             break
         prev_live = live
     residual = bool(nonzero.any())
-    entries, events = _sum_peels(peels, dims, cut)
+    entries, events = _sum_peels(peels, dims, cut, unit)
     if not residual and len(entries) == events:
         status = STATUS_SUCCESS
     elif deadlock and residual:
@@ -368,9 +422,9 @@ def _peel_layout(dims: Dims, stages) -> _PeelLayout:
         [_frozen(np.array(lead).T[:, :, None]) for lead in leads])
 
 
-def _sum_peels(peels, dims: Dims, cut: float):
-    """The peels summed per location, in peel order, above `cut`; and
-    the number of peels.
+def _sum_peels(peels, dims: Dims, cut: float, unit: float):
+    """The peels summed per location, in peel order, above `cut`, divided
+    by `unit`; and the number of peels.
 
     Each sum starts from zero, so a location peeled once keeps its value
     with any -0.0 part made +0.0. Keys are in-range ints and every kept
@@ -390,7 +444,8 @@ def _sum_peels(peels, dims: Dims, cut: float):
         sums.imag = np.bincount(inverse, pval.imag, locs.size)
     keep = np.abs(sums) > cut
     u, v = np.divmod(locs[keep], dims.ny)
-    return (dict(zip(zip(u.tolist(), v.tolist()), sums[keep].tolist())),
+    return (dict(zip(zip(u.tolist(), v.tolist()),
+                     (sums[keep] / unit).tolist())),
             pval.size)
 
 
@@ -402,20 +457,33 @@ def decode(source, plan: FfastPlan, *, min_magnitude: float = 0.0,
     dropped, the zero floor being observation_zero_threshold. Success
     means every bin ends at or below that floor and each peel kept an
     entry of its own: a dropped value leaves residual-left.
+
+    The stacks are peeled at unit scale: times the exact power of two
+    that brings the largest anchor into [0.5, 1), with the zero floor,
+    min_magnitude and a robust plan's noise variance (by its square)
+    scaled alike, and the values scaled back at the end. No product of
+    two observations then over- or underflows, so decoding c * x gives c
+    times the spectrum of x from c = 1e-300 to 1e300, and where the
+    unscaled stacks would peel without over- or underflow, the decisions
+    and values are theirs, bit for bit.
     """
     plan.validate()
     before = source.access_count
     stacks = run_frontend(plan, source)
     touched = source.access_count - before
+    unit = _unit_scale(stacks)
+    for stack in stacks:
+        stack *= unit
     zero_thresh = observation_zero_threshold(stacks)
     if plan.mode == MODE_NOISELESS:
         def classify(si, idx, cols):
-            # the first pass (idx is a slice) stays scalar: see the module doc
-            scan = (_ratio_scan if isinstance(idx, slice)
-                    or cols.shape[1] < WHOLE_ARRAY_BATCH else _ratio_scan_whole)
+            if isinstance(idx, slice):
+                return _first_pass(cols, plan.dims, zero_thresh)
+            scan = (_ratio_scan if cols.shape[1] < WHOLE_ARRAY_BATCH
+                    else _ratio_scan_whole)
             return scan(cols, plan.dims, zero_thresh)
     else:
         from .robust import robust_classifier  # robust builds on peeler
-        classify = robust_classifier(plan, zero_thresh)
+        classify = robust_classifier(plan, zero_thresh, unit)
     return peel_stacks(stacks, plan, classify, touched, max_rounds,
-                       max(min_magnitude, zero_thresh), trace)
+                       max(min_magnitude * unit, zero_thresh), unit, trace)

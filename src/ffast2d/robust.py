@@ -198,12 +198,14 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
                                            observation_zero_threshold([ys])))
 
 
-def robust_classifier(plan: FfastPlan, zero_thresh: float):
-    """The robust plan's bin classifier, as peeler.peel_stacks calls it."""
+def robust_classifier(plan: FfastPlan, zero_thresh: float, unit: float):
+    """The robust plan's bin classifier, as peeler.peel_stacks calls it,
+    on observations scaled by `unit`."""
     params, dims = plan.robust_params, plan.dims
     chains = [_stage_chains(dims, s, params) for s in plan.stages]
     positions = [np.arange(s.bin_count) for s in plan.stages]
-    sigma2_obs = [params.noise_var / s.bin_count for s in plan.stages]
+    sigma2_obs = [params.noise_var / s.bin_count * unit * unit
+                  for s in plan.stages]
 
     def classify(si, idx, cols):
         return _robust_scan(cols, positions[si][idx], chains[si], dims,

@@ -243,6 +243,121 @@ def test_ratio_scan_matches_vectorized_reference(nx, ny):
         assert np.array_equal(scalar, batch)
 
 
+@pytest.mark.parametrize("n", [280, 315, 2520])
+def test_whole_array_ratio_test_wraps_as_scalar(n):
+    # estimates just below n round up to n and wrap to 0, and negative
+    # angles fold up by n: both tests give the same arrays, bit for bit
+    dims = Dims(n, n)
+    shifts = noiseless_shifts(dims)
+    rng = np.random.default_rng(n)
+    cols = []
+    for _ in range(500):
+        u, v = rng.choice([0, n - 1, int(rng.integers(n))], size=2)
+        col = complex(*rng.normal(size=2)) * _weights(shifts, dims, u, v)
+        # phase noise about the residual tolerance, either way
+        cols.append(col * np.exp(1j * rng.normal(0, 1e-6, 3)))
+    cols = np.array(cols).T
+    scalar = peeler._ratio_scan(cols, dims, 1e-9)
+    whole = peeler._ratio_scan_whole(cols, dims, 1e-9)
+    assert scalar[1].any() and (~scalar[1]).any()
+    assert (scalar[2][scalar[1]] == 0).any() or (
+        scalar[3][scalar[1]] == 0).any()
+    for a, b in zip(scalar, whole):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def _first_pass_as_loop(monkeypatch, cols, dims, zero_thresh):
+    # the screened first pass must return the scalar loop's five arrays
+    # bit for bit; returns the columns it handed the loop
+    loop = peeler._ratio_scan
+    handed = []
+
+    def recording(cols, *args):
+        handed.append(cols.copy())
+        return loop(cols, *args)
+
+    monkeypatch.setattr(peeler, "_ratio_scan", recording)
+    got = peeler._first_pass(cols, dims, zero_thresh)
+    want = loop(cols, dims, zero_thresh)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    (cols,) = handed
+    return want, cols
+
+
+def _gap_at_screen_edge():
+    # an anchor a whose chain a + t lies exactly t = 2 tol a above it in
+    # floating point, so that the screen's gap equals its bound
+    t = 13_510_000_000 * 2.0 ** -52
+    a = t / (2 * DEFAULT_TOL_RESIDUAL)
+    assert 2 * DEFAULT_TOL_RESIDUAL * a == t and (a + t) - a == t
+    return a, a + t
+
+
+def test_first_pass_screen_edges(monkeypatch):
+    dims = Dims(12, 18)
+    zt = 1e-9
+    a, r = _gap_at_screen_edge()
+    above_floor = math.nextafter(zt, 1)
+    cols = np.array([
+        [a, math.nextafter(r, 0), a],     # gap one ulp below the bound
+        [a, r, a],                        # gap at the bound
+        [a, a, math.nextafter(r, 3)],     # one ulp above it: settled
+        [zt, 1.0, 1.0],                   # anchor at the zero floor
+        [above_floor, 1.0, 1.0],          # just above it: settled
+        [0.0, 0.0, 0.0],                  # empty
+        [1e-3, 1e6j, -1e6],               # |y_c| >> |y_0|: settled
+        [1.0, 1e-4, 1.0],                 # |y_c| << |y_0|: settled
+        0.7 * _weights(noiseless_shifts(dims), dims, 5, 11),
+    ], dtype=complex).T
+    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, zt)
+    assert handed.tobytes() == cols[:, [0, 1, 3, 5, 8]].tobytes()
+    assert want[0].tolist() == [True] * 5 + [False] + [True] * 3
+    assert want[1].tolist() == [False] * 8 + [True]
+    assert (want[2][8], want[3][8]) == (5, 11)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 31), (31, 1)])
+def test_first_pass_screen_on_a_one_row_or_one_column_grid(monkeypatch, nx,
+                                                            ny):
+    # the anchor stands in for the missing shifted chain; its gap is 0, so
+    # only the one shifted chain can settle a column
+    dims = Dims(nx, ny)
+    w = _weights(noiseless_shifts(dims), dims, 3 % nx, 7 % ny)
+    a, r = _gap_at_screen_edge()
+    cols = np.array([0.5 * w,            # singleton
+                     w * [1.0, 1.5],     # multi-ton: settled
+                     [a, r],             # gap at the bound
+                     [a, math.nextafter(r, 3)],   # one ulp above: settled
+                     [0.0, 0.0]], dtype=complex).T
+    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, 1e-9)
+    assert handed.tobytes() == cols[:, [0, 2, 4]].tobytes()
+    assert want[1].tolist() == [True] + [False] * 4
+
+
+def test_first_pass_loop_sees_only_unsettled_columns(monkeypatch):
+    # on the pinned lsparse-280 seed-1 decode the screen settles all 3,213
+    # first-pass multi-tons; the loop gets the 1,106 zero-tons and 1,642
+    # singletons
+    counts = []
+    loop = peeler._ratio_scan
+
+    def counting(cols, *args):
+        counts.append(cols.shape[1])
+        return loop(cols, *args)
+
+    monkeypatch.setattr(peeler, "_ratio_scan", counting)
+    dims = Dims(280, 280)
+    plan = build_plan(dims, [25, 64, 49], "less-sparse")
+    report = decode(gen_instance(dims, 3821, seed=1).source, plan)
+    assert report.status == STATUS_SUCCESS
+    assert sum(plan.bin_counts) == 5961
+    assert counts[0] == 2748 == sum(
+        st[KIND_ZERO_TON] + st[KIND_SINGLETON] for st in report.bin_stats)
+
+
 def test_unit_roots_hold_cmath_exp_values():
     # both ratio tests read their residual roots from these tables, which
     # hold cmath.exp's values bit for bit
@@ -267,11 +382,11 @@ def test_sum_peels_matches_a_dict_sum_in_peel_order(repeat):
     for pu, pv, pval in peels:
         for key, val in zip(zip(pu.tolist(), pv.tolist()), pval.tolist()):
             want[key] = want.get(key, 0j) + val
-    got, events = peeler._sum_peels(peels, dims, 1e-9)
+    got, events = peeler._sum_peels(peels, dims, 1e-9, 1.0)
     assert events == sum(len(pu) for pu, _, _ in peels)
     assert got == {key: val for key, val in want.items() if abs(val) > 1e-9}
     assert math.copysign(1.0, got[(2, 4)].real) == 1.0
-    assert peeler._sum_peels([], dims, 0.0) == ({}, 0)
+    assert peeler._sum_peels([], dims, 0.0, 1.0) == ({}, 0)
 
 
 def _worked_plan_and_source():
@@ -395,13 +510,16 @@ def test_decode_rejects_non_finite_sample(bad):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_decode_is_scale_equivariant(seed):
+    # a product of two observations overflows beyond about 1e154 and
+    # underflows below 1e-154: the decode peels at unit scale, so c as far
+    # out as 1e+-300 still gives c times the spectrum
     dims = Dims(30, 30)
     plan = build_plan(dims, [4, 9, 25])
     truth = gen_instance(dims, 10, seed=40 + seed).truth
     base = decode(ExponentialSumSource(truth), plan)
     assert base.status == STATUS_SUCCESS
     want = dict(base.spectrum.items())
-    for c in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+    for c in (1e-300, 1e-200, 1e-12, 1e-6, 1.0, 1e6, 1e12, 1e200, 1e300):
         scaled = SparseSpectrum.from_entries(
             dims, {loc: c * val for loc, val in truth.items()})
         report = decode(ExponentialSumSource(scaled), plan)
