@@ -136,7 +136,7 @@ def _value_model(args):
 
 
 def report_doc(report, plan, wall_ms: float) -> dict:
-    ratio = report.oversampling_ratio
+    k = len(report.spectrum)
     return {
         "nx": plan.dims.nx,
         "ny": plan.dims.ny,
@@ -146,7 +146,7 @@ def report_doc(report, plan, wall_ms: float) -> dict:
         "distinct_cells": report.distinct_cells,
         "sample_budget": plan_sample_budget(plan),
         "peel_iterations": report.peel_iterations,
-        "oversampling_ratio": ratio,
+        "oversampling_ratio": report.samples_touched / k if k else None,
         "bin_stats": report.bin_stats,
         "wall_time_ms": round(wall_ms, 3),
         "entries": [[u, v, val.real, val.imag]

@@ -83,21 +83,27 @@ class Constellation:
         return self.rho * sum((0.5 + j / self.m1) ** 2 for j in range(self.m1 + 1)) / (self.m1 + 1)
 
 
+# Relative slacks of the robust classifier's zero-ton energy test and
+# singleton residual test (robust._robust_scan). Plan documents written
+# before they were fixed carry them as "gamma_zero" and "gamma_single";
+# plan_from_json reads those keys only at these values.
+GAMMA_ZERO = 0.5
+GAMMA_SINGLE = 0.5
+
+
 @dataclass(frozen=True)
 class RobustParams:
-    """Delay-chain design and thresholds for decoding in noise.
+    """Delay-chain design and noise level for decoding in noise.
 
     chains_per_dim and reps multiply the number of random-offset shift pairs
-    per bit level; noise_var is the per-sample complex noise variance;
-    gamma_zero and gamma_single are the relative slacks of the zero-ton
-    energy test and the singleton residual test. seed fixes the shift design.
+    per bit level; noise_var is the per-sample complex noise variance; seed
+    fixes the shift design. The slacks of the classifier's tests are fixed:
+    GAMMA_ZERO and GAMMA_SINGLE.
     """
 
     chains_per_dim: int = 1
     reps: int = 1
     noise_var: float = 0.0
-    gamma_zero: float = 0.5
-    gamma_single: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -107,10 +113,6 @@ class RobustParams:
             raise ValueError("reps must be >= 1")
         if not 0 <= self.noise_var < math.inf:
             raise ValueError("noise_var must be finite and >= 0")
-        if not (0 < self.gamma_zero < math.inf
-                and 0 < self.gamma_single < math.inf):
-            raise ValueError("gamma_zero and gamma_single must be positive "
-                             "and finite")
 
     @property
     def pairs_per_level(self) -> int:
@@ -121,11 +123,6 @@ class RobustParams:
 def bit_levels(n: int) -> int:
     """Number of shift-pair bit levels needed to resolve an index in [0, n)."""
     return 0 if n <= 1 else (n - 1).bit_length()
-
-
-def robust_chain_count(dims: Dims, params: RobustParams) -> int:
-    """Anchor plus one (offset, offset + 2^j) pair per chain, level and rep."""
-    return 1 + 2 * len(robust_pairs(dims, params))
 
 
 def robust_pairs(dims: Dims, params: RobustParams):
@@ -180,7 +177,8 @@ def design_shifts(dims: Dims, params: RobustParams, seed: int):
 def check_robust_layout(dims: Dims, shifts, params: RobustParams) -> None:
     """Refuses shifts other than the design_shifts layout: the anchor
     (0, 0), then each pair of robust_pairs as (r, r + 2^j mod n) along its
-    axis, with 0 on the other. Cached, as every decode validates its plan.
+    axis, with 0 on the other. Cached, as robust.robust_classify checks
+    every vector it is given, and a caller hands it many of one layout.
     """
     pairs = robust_pairs(dims, params)
     if len(shifts) != 1 + 2 * len(pairs):
@@ -223,12 +221,20 @@ class StageConfig:
 
 @dataclass(frozen=True)
 class FfastPlan:
-    """Validated measurement plan: dims, stages and decode mode."""
+    """Measurement plan: dims, stages and decode mode.
+
+    A plan is valid by construction: __post_init__ runs validate, so
+    FfastPlan(...) and dataclasses.replace refuse a broken plan with a
+    PlanError, and a plan that exists need not be checked again.
+    """
 
     dims: Dims
     stages: tuple[StageConfig, ...]
     mode: str = MODE_NOISELESS
     robust_params: RobustParams | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def bin_counts(self) -> list[int]:
@@ -348,11 +354,6 @@ class DecodeReport:
     status: str
     bin_stats: list[dict[str, int]]
 
-    @property
-    def oversampling_ratio(self) -> float | None:
-        k = len(self.spectrum)
-        return None if k == 0 else self.samples_touched / k
-
 
 def build_plan(dims: Dims, factors, regime: str = REGIME_LESS_SPARSE,
                mode: str = MODE_NOISELESS,
@@ -390,9 +391,7 @@ def build_plan(dims: Dims, factors, regime: str = REGIME_LESS_SPARSE,
         stages.append(StageConfig.from_subsampling(
             dims, dims.nx // bins_x, dims.ny // bins_y, shifts))
 
-    plan = FfastPlan(dims, tuple(stages), mode, robust_params)
-    plan.validate()
-    return plan
+    return FfastPlan(dims, tuple(stages), mode, robust_params)
 
 
 def _split_bins(dims: Dims, bin_count: int) -> tuple[int, int] | None:
@@ -445,8 +444,6 @@ def plan_to_json(plan: FfastPlan, indent: int | None = None) -> str:
             "chains_per_dim": rp.chains_per_dim,
             "reps": rp.reps,
             "noise_var": rp.noise_var,
-            "gamma_zero": rp.gamma_zero,
-            "gamma_single": rp.gamma_single,
             "seed": rp.seed,
         }
     return json.dumps(doc, indent=indent, sort_keys=True)
@@ -482,9 +479,12 @@ def plan_from_json(text: str) -> FfastPlan:
                 chains_per_dim=_plan_number(r["chains_per_dim"]),
                 reps=_plan_number(r["reps"]),
                 noise_var=_plan_number(r["noise_var"], integral=False),
-                gamma_zero=_plan_number(r["gamma_zero"], integral=False),
-                gamma_single=_plan_number(r["gamma_single"], integral=False),
                 seed=_plan_number(r.get("seed", 0)))
+            for key, fixed in (("gamma_zero", GAMMA_ZERO),
+                               ("gamma_single", GAMMA_SINGLE)):
+                if key in r and _plan_number(r[key], integral=False) != fixed:
+                    raise PlanError("robust %s is fixed at %r, got %r"
+                                    % (key, fixed, r[key]))
         stages = tuple(
             StageConfig.from_subsampling(
                 dims, _plan_number(s["sub_x"]), _plan_number(s["sub_y"]),
@@ -493,6 +493,4 @@ def plan_from_json(text: str) -> FfastPlan:
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
         raise PlanError("malformed plan document: %s" % exc) from exc
-    plan = FfastPlan(dims, stages, mode, params)
-    plan.validate()
-    return plan
+    return FfastPlan(dims, stages, mode, params)

@@ -47,7 +47,8 @@ class ShapeMismatch(FfastError, ValueError):
 
 
 class NonFiniteSample(FfastError, ValueError):
-    """The source returned a NaN or infinite sample."""
+    """The source returned a NaN or infinite sample, or a lattice's FFT
+    overflowed."""
 
 
 @dataclass(frozen=True)
@@ -183,13 +184,17 @@ def stage_observations(source, dims: Dims, stage: StageConfig) -> np.ndarray:
                                 "shape %r, not its distinct cells %r"
                                 % (len(rows), len(cols), grid.shape, shape))
         out[planes] = grid.reshape(-1)[cells]
+    # a NaN or infinite sample spreads to its whole plane, and a plane of
+    # finite samples near the float maximum can overflow: one check after
+    # the FFT refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.fft.fft2(out, out=out)
+        out /= stage.bin_count
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
-        raise NonFiniteSample("non-finite sample on the %dx%d lattice at "
-                              "shift %r" % (bx, by,
-                                            lat.lead[int(np.argmin(finite))]))
-    np.fft.fft2(out, out=out)
-    out /= stage.bin_count
+        raise NonFiniteSample("non-finite sample or spectrum on the %dx%d "
+                              "lattice at shift %r"
+                              % (bx, by, lat.lead[int(np.argmin(finite))]))
     return out
 
 

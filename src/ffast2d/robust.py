@@ -40,9 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (Dims, FfastPlan, PlanError, RobustParams, StageConfig,
-                   bit_levels, check_robust_layout, design_shifts,
-                   robust_pairs)
+from .core import (GAMMA_SINGLE, GAMMA_ZERO, Dims, FfastPlan, PlanError,
+                   RobustParams, StageConfig, bit_levels, check_robust_layout,
+                   design_shifts, robust_pairs)
 from .frontend import BinObservation, _frozen, stage_lattices
 from .peeler import BinClass, decode, observation_zero_threshold
 from .roots import unit_roots
@@ -142,22 +142,24 @@ def _stage_chains(dims: Dims, stage: StageConfig,
 
 
 def _robust_scan(cols: np.ndarray, pos: np.ndarray, chains: _StageChains,
-                 dims: Dims, params: RobustParams, sigma2: float,
-                 zero_thresh: float):
+                 dims: Dims, sigma2: float, zero_thresh: float):
     """Energy test on (G, m) lattice columns at flat bins pos, then ladder
     estimates on the chains of the live columns.
 
     With n_g chains on plane g and C chains in all, a noise-only bin's
     energy sum_g n_g |y_g|^2 has mean C sigma2 and standard deviation
     sqrt(sum_g n_g^2) sigma2, and the least-squares value has variance
-    sigma2 sum_g n_g^2 / C^2; both thresholds follow. For independent
-    chains (every n_g = 1) the energy threshold is (1 + gamma_zero) C sigma2.
+    sigma2 sum_g n_g^2 / C^2; both thresholds follow. The energy threshold
+    is (C + GAMMA_ZERO sqrt(C sum_g n_g^2)) sigma2, which is
+    (1 + GAMMA_ZERO) C sigma2 for independent chains (every n_g = 1), and
+    a singleton's fit residual may reach (1 + GAMMA_SINGLE) C sigma2; both
+    slacks are fixed in core.
     """
     n = len(chains.inv)
     m = cols.shape[1]
     floor = n * zero_thresh ** 2
     energy = chains.sizes @ (np.abs(cols) ** 2)
-    nonzero = energy > ((n + params.gamma_zero * math.sqrt(n * chains.spread))
+    nonzero = energy > ((n + GAMMA_ZERO * math.sqrt(n * chains.spread))
                         * sigma2 + floor)
     single = np.zeros(m, dtype=bool)
     uu = np.zeros(m, dtype=np.int64)
@@ -168,7 +170,7 @@ def _robust_scan(cols: np.ndarray, pos: np.ndarray, chains: _StageChains,
         ys = chains.expand(cols[:, live], pos[live])
         u, v, val, resid = _estimate_bins(ys, chains.shifts, chains.ladders,
                                           dims)
-        single[live] = ((resid <= (1 + params.gamma_single) * n * sigma2
+        single[live] = ((resid <= (1 + GAMMA_SINGLE) * n * sigma2
                          + floor) & (np.abs(val) > zero_thresh)
                         & (np.abs(val) ** 2 > VALUE_SIGMAS ** 2 * sigma2
                            * chains.spread / n ** 2))
@@ -194,7 +196,7 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
         raise PlanError("expected %d chain values, got %d" % (n, ys.shape[0]))
     sigma2 = params.noise_var if noise_var is None else noise_var
     return BinClass.from_scan(_robust_scan(ys, np.zeros(1, dtype=np.int64),
-                                           chains, dims, params, sigma2,
+                                           chains, dims, sigma2,
                                            observation_zero_threshold([ys])))
 
 
@@ -209,7 +211,7 @@ def robust_classifier(plan: FfastPlan, zero_thresh: float, unit: float):
 
     def classify(si, idx, cols):
         return _robust_scan(cols, positions[si][idx], chains[si], dims,
-                            params, sigma2_obs[si], zero_thresh)
+                            sigma2_obs[si], zero_thresh)
 
     return classify
 

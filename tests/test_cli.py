@@ -152,6 +152,24 @@ def test_gen_decode_round_trip_worked_example(tmp_path):
     assert all(abs(got[loc] - val) <= 1e-12 for loc, val in want.items())
 
 
+def test_oversampling_ratio_is_samples_per_recovered(tmp_path):
+    truth_path = tmp_path / "truth.csv"
+    assert main(["gen", "--nx", "6", "--ny", "6",
+                 "--entries", WORKED_ENTRIES,
+                 "--out-truth", str(truth_path)]) == 0
+    plan_path = _write_plan(tmp_path)
+    out_path = tmp_path / "report.json"
+    assert main(["decode", "--plan", plan_path, "--truth", str(truth_path),
+                 "--out", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["oversampling_ratio"] == 39 / 4
+    # no entry recovered: no ratio
+    truth_path.write_text("u,v,re,im\n")
+    assert main(["decode", "--plan", plan_path, "--truth", str(truth_path),
+                 "--out", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["entries"] == [] and doc["oversampling_ratio"] is None
+
+
 def test_decode_min_magnitude_cuts_in_noiseless_mode(tmp_path):
     # one cut rule for both modes: the dropped (4, 0) peel leaves the
     # decode residual-left, exit 2

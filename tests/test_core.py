@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from ffast2d.core import (Constellation, Dims, FfastPlan, PlanError,
                           RobustParams, SparseSpectrum, StageConfig,
                           bit_levels, build_plan, noiseless_shifts, plan_eta,
                           plan_from_json, plan_sample_budget, plan_to_json,
-                          robust_chain_count)
+                          robust_pairs)
 
 
 def test_dims_product():
@@ -122,9 +123,16 @@ def test_stage_config_divisibility():
 def test_validate_rejects_noiseless_layout_drift():
     plan = build_plan(Dims(6, 6), [9, 4])
     bad = plan.stages[0].__class__(3, 3, 2, 2, ((0, 0), (2, 0), (0, 1)))
-    broken = plan.__class__(plan.dims, (bad, plan.stages[1]), plan.mode)
     with pytest.raises(PlanError):
-        broken.validate()
+        plan.__class__(plan.dims, (bad, plan.stages[1]), plan.mode)
+
+
+def test_replacing_a_stage_revalidates_the_plan():
+    # a plan is valid by construction, dataclasses.replace included
+    plan = build_plan(Dims(6, 6), [9, 4])
+    bad = dataclasses.replace(plan.stages[0], shifts=((0, 0), (2, 0), (0, 1)))
+    with pytest.raises(PlanError, match="shift list"):
+        dataclasses.replace(plan, stages=(bad, plan.stages[1]))
 
 
 def test_validate_rejects_a_stage_that_does_not_subsample():
@@ -143,8 +151,9 @@ def test_bit_levels():
 
 
 def test_robust_chain_count_8x8():
+    # an anchor and one pair per axis and bit level: 1 + 2 * (3 + 3)
     params = RobustParams(chains_per_dim=1, reps=1, noise_var=1.0)
-    assert robust_chain_count(Dims(8, 8), params) == 13
+    assert 1 + 2 * len(robust_pairs(Dims(8, 8), params)) == 13
 
 
 def test_robust_params_validation():
@@ -152,11 +161,8 @@ def test_robust_params_validation():
         RobustParams(reps=0)
     with pytest.raises(ValueError):
         RobustParams(noise_var=-1.0)
-    with pytest.raises(ValueError):
-        RobustParams(gamma_zero=0.0)
     # a NaN noise_var used to pass `< 0` and be written into plan files
-    for bad in ({"noise_var": float("nan")}, {"noise_var": float("inf")},
-                {"gamma_single": float("nan")}, {"gamma_zero": float("inf")}):
+    for bad in ({"noise_var": float("nan")}, {"noise_var": float("inf")}):
         with pytest.raises(ValueError):
             RobustParams(**bad)
 
@@ -165,7 +171,7 @@ def test_robust_plan_chain_counts():
     params = RobustParams(chains_per_dim=1, reps=1, noise_var=1.0)
     plan = build_plan(Dims(60, 60), [16, 9, 25], regime="very-sparse",
                       mode="robust", robust_params=params)
-    want = robust_chain_count(Dims(60, 60), params)
+    want = 1 + 2 * len(robust_pairs(Dims(60, 60), params))
     assert want == 25
     assert all(len(s.shifts) == want for s in plan.stages)
     assert all(s.shifts[0] == (0, 0) for s in plan.stages)
@@ -186,6 +192,33 @@ def test_plan_json_round_trip_robust():
     plan = build_plan(Dims(60, 60), [16, 9, 25], regime="very-sparse",
                       mode="robust", robust_params=params)
     assert plan_from_json(plan_to_json(plan)) == plan
+    assert set(json.loads(plan_to_json(plan))["robust"]) == {
+        "chains_per_dim", "reps", "noise_var", "seed"}
+
+
+# a robust plan document as written while the classifier's slacks were
+# still plan parameters
+OLD_ROBUST_DOC = (
+    '{"mode": "robust", "nx": 6, "ny": 6, "robust": {"chains_per_dim": 1, '
+    '"gamma_single": 0.5, "gamma_zero": 0.5, "noise_var": 0.25, "reps": 1, '
+    '"seed": 3}, "stages": [{"shifts": [[0, 0], [4, 0], [5, 0], [1, 0], '
+    '[3, 0], [1, 0], [5, 0], [0, 1], [0, 2], [0, 3], [0, 5], [0, 3], '
+    '[0, 1]], "sub_x": 3, "sub_y": 3}, {"shifts": [[0, 0], [4, 0], [5, 0], '
+    '[1, 0], [3, 0], [2, 0], [0, 0], [0, 4], [0, 5], [0, 1], [0, 3], '
+    '[0, 4], [0, 2]], "sub_x": 2, "sub_y": 2}]}')
+
+
+def test_plan_json_reads_a_document_with_the_fixed_slacks():
+    plan = build_plan(Dims(6, 6), [9, 4], mode="robust",
+                      robust_params=RobustParams(noise_var=0.25, seed=3))
+    assert plan_from_json(OLD_ROBUST_DOC) == plan
+
+
+def test_plan_json_refuses_a_slack_other_than_the_fixed_one():
+    doc = json.loads(OLD_ROBUST_DOC)
+    doc["robust"]["gamma_single"] = 0.4
+    with pytest.raises(PlanError, match="gamma_single"):
+        plan_from_json(json.dumps(doc))
 
 
 def _plan_text(nx=6, sub_x=3, shift=(1, 0)):
@@ -268,7 +301,7 @@ def test_plan_json_integral_floats_read_as_ints():
     pytest.param(_robust_plan_text(reps=1.5), id="reps-1.5"),
     pytest.param(_robust_plan_text(chains_per_dim=True),
                  id="chains_per_dim-true"),
-    pytest.param(_robust_plan_text(gamma_zero=True), id="gamma_zero-true"),
+    pytest.param(_robust_plan_text(gamma_zero=1.0), id="gamma_zero-1.0"),
     # the mode and the robust block go together
     pytest.param(json.dumps({key: val for key, val in _robust_doc().items()
                              if key != "robust"}), id="robust-without-params"),

@@ -113,7 +113,7 @@ PLAN_GRID = [((60, 60), [16, 9, 25]), ((280, 280), [25, 64, 49]),
              ((2520, 2520), [81, 25, 49, 64]), ((1, 20), [4, 5]),
              ((1, 182), [13, 14])]
 PLAN_GRID_SHA256 = (
-    "d8994bd3d09152299e5eefc73268c084e5f3c635e8db8adf6d1344502a06ab14")
+    "d15b56ec0dc3f875787ed31c6dca99a729a372a228ec135185ee821350f2fbd2")
 
 
 def test_robust_plans_match_their_record():

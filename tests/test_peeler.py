@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,15 +456,6 @@ def test_zero_signal_decodes_to_empty():
     assert report.peel_iterations == 1
 
 
-def test_oversampling_ratio_is_samples_per_recovered():
-    plan, _, src = _worked_plan_and_source()
-    report = decode(src, plan)
-    assert report.oversampling_ratio == pytest.approx(39 / 4)
-    empty = decode(ExponentialSumSource(
-        SparseSpectrum.from_entries(Dims(6, 6), {})), plan)
-    assert empty.oversampling_ratio is None
-
-
 @pytest.mark.parametrize("k", [1, 5, 12, 20])
 def test_monte_carlo_exact_recovery_30x30(k):
     # less-sparse plan with ~120 bins per stage on average; k far below
@@ -506,6 +498,20 @@ def test_decode_rejects_non_finite_sample(bad):
     x[0, 0] = bad
     with pytest.raises(NonFiniteSample):
         decode(ArraySource(x), plan)
+
+
+def test_decode_refuses_a_spectrum_that_overflows():
+    # the samples are finite, but a lattice's FFT overflows past the float
+    # maximum; the decode refuses the signal instead of peeling inf and NaN
+    dims = Dims(30, 30)
+    plan = build_plan(dims, [4, 9, 25])
+    truth = gen_instance(dims, 10, seed=40).truth
+    scaled = SparseSpectrum.from_entries(
+        dims, {loc: 1.7e307 * val for loc, val in truth.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteSample, match="lattice"):
+            decode(ExponentialSumSource(scaled), plan)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -5,7 +5,7 @@ import pytest
 
 from ffast2d.core import (Constellation, Dims, FfastPlan, PlanError,
                           RobustParams, SparseSpectrum, build_plan,
-                          robust_chain_count, STATUS_SUCCESS)
+                          robust_pairs, STATUS_SUCCESS)
 from ffast2d.frontend import BinObservation, NonFiniteSample, run_frontend
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
                             gen_instance, synthesize_dense)
@@ -25,7 +25,7 @@ def test_design_shifts_count_and_structure():
     dims = Dims(8, 8)
     params = RobustParams(chains_per_dim=1, reps=1, noise_var=1.0)
     shifts = design_shifts(dims, params, seed=0)
-    assert len(shifts) == 13 == robust_chain_count(dims, params)
+    assert len(shifts) == 13 == 1 + 2 * len(robust_pairs(dims, params))
     assert shifts[0] == (0, 0)
     assert len(set(shifts)) == 13
     # layout: 3 x-levels then 3 y-levels, each pair stepping by 2^j
@@ -48,7 +48,7 @@ def test_design_shifts_tiny_grid_falls_back_to_duplicates():
     dims = Dims(2, 2)
     params = RobustParams(chains_per_dim=2, reps=4, noise_var=1.0)
     shifts = design_shifts(dims, params, seed=0)
-    assert len(shifts) == robust_chain_count(dims, params)
+    assert len(shifts) == 1 + 2 * len(robust_pairs(dims, params))
     assert len(set(shifts)) < len(shifts)
 
 
@@ -140,7 +140,7 @@ def test_robust_singleton_location_under_noise():
 
 
 def test_robust_zero_ton_rate_under_pure_noise():
-    # 13 chains, gamma_zero 0.5: energy threshold sits at the ~0.956
+    # 13 chains, GAMMA_ZERO 0.5: energy threshold sits at the ~0.956
     # quantile of the bin-energy distribution
     dims = Dims(8, 8)
     params = RobustParams(chains_per_dim=1, reps=1, noise_var=1.0)
@@ -274,10 +274,10 @@ def test_decode_refuses_a_broken_robust_layout_before_reading():
     swapped = shifts[:1] + (shifts[2], shifts[1]) + shifts[3:]
     stages = (dataclasses.replace(plan.stages[0], shifts=swapped),
               ) + plan.stages[1:]
-    broken = FfastPlan(plan.dims, stages, plan.mode, plan.robust_params)
     source = gen_instance(plan.dims, 8, seed=2).source
     with pytest.raises(PlanError, match="dyadic pair layout"):
-        decode(source, broken)
+        decode(source, FfastPlan(plan.dims, stages, plan.mode,
+                                 plan.robust_params))
     assert source.access_count == 0
 
 
