@@ -15,6 +15,12 @@ one line: its family, k and instance seed, then status, rounds, first-pass
 bin statistics, charged and distinct samples, the number of entries and
 sha256s of the sorted support and of the values in support order (their
 reprs, so a one-bit change shows).
+
+It also digests lone-vector classifications: criterion 8's
+chains-vs-reliability setup (64x64, design seed 2, noise variance 0.5),
+50 seeded vectors for each of reps 1, 3, 5 and 9, through
+robust.robust_classify. Each is one line with its reps and trial, then the
+result's kind, location and value repr.
 """
 
 from __future__ import annotations
@@ -101,6 +107,35 @@ def digest() -> list[dict]:
     return records
 
 
+def classifications() -> list[dict]:
+    import numpy as np
+    from ffast2d.core import Dims, RobustParams
+    from ffast2d.frontend import BinObservation
+    from ffast2d.robust import design_shifts, robust_classify
+
+    dims = Dims(64, 64)
+    records = []
+    for reps in (1, 3, 5, 9):
+        params = RobustParams(chains_per_dim=1, reps=reps, noise_var=0.5)
+        shifts = design_shifts(dims, params, seed=2)
+        sarr = np.asarray(shifts, dtype=float)
+        rng = np.random.default_rng(100 + reps)
+        for trial in range(50):
+            u, v = int(rng.integers(64)), int(rng.integers(64))
+            w = np.exp(2j * np.pi * (u * sarr[:, 0] / 64
+                                     + v * sarr[:, 1] / 64))
+            noise = (rng.normal(size=len(shifts))
+                     + 1j * rng.normal(size=len(shifts))) * 0.5
+            cls = robust_classify(BinObservation(0, (0, 0), w + noise, shifts),
+                                  dims, params, noise_var=0.5)
+            records.append({
+                "family": "classify-64", "reps": reps, "trial": trial,
+                "kind": cls.kind, "location": cls.location,
+                "value": repr(cls.value),
+            })
+    return records
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, default=SRC,
@@ -109,9 +144,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     records = digest()
-    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in records)
+    classified = classifications()
+    lines = ",\n".join(json.dumps(r, sort_keys=True)
+                       for r in records + classified)
     args.out.write_text("[\n%s\n]\n" % lines)
-    print("%d decodes -> %s" % (len(records), args.out))
+    print("%d decodes, %d classifications -> %s"
+          % (len(records), len(classified), args.out))
     return 0
 
 

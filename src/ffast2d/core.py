@@ -84,9 +84,9 @@ class Constellation:
 
 
 # Relative slacks of the robust classifier's zero-ton energy test and
-# singleton residual test (robust._robust_scan). Plan documents written
-# before they were fixed carry them as "gamma_zero" and "gamma_single";
-# plan_from_json reads those keys only at these values.
+# singleton residual test (robust._energy_test and robust._fit). Plan
+# documents written before they were fixed carry them as "gamma_zero" and
+# "gamma_single"; plan_from_json reads those keys only at these values.
 GAMMA_ZERO = 0.5
 GAMMA_SINGLE = 0.5
 
@@ -125,13 +125,23 @@ def bit_levels(n: int) -> int:
     return 0 if n <= 1 else (n - 1).bit_length()
 
 
+def _robust_span(dims: Dims, params: RobustParams, axis: int):
+    """Chains [a, b) of the robust layout's pairs along axis (0 is x): the
+    anchor is chain 0, then the x pairs, then the y pairs. Pair q of an
+    axis, at bit level q // pairs_per_level, is chains a + 2q and a + 2q + 1,
+    so ys[a:b:2] and ys[a + 1:b:2] hold the pairs' first and second chains."""
+    x, y = (2 * bit_levels(n) * params.pairs_per_level
+            for n in (dims.nx, dims.ny))
+    return (1, 1 + x) if axis == 0 else (1 + x, 1 + x + y)
+
+
 def robust_pairs(dims: Dims, params: RobustParams):
-    """(axis, n, 2^j) of the robust layout's pair p, chains 2p + 1 and
-    2p + 2: axis x, then y; per axis level j ascending, then repetition."""
-    return [(axis, n, 1 << j)
+    """(axis, n, 2^j) of the robust layout's pairs in chain order
+    (_robust_span): pair p is chains 2p + 1 and 2p + 2."""
+    return [(axis, n, 1 << (q // params.pairs_per_level))
             for axis, n in enumerate((dims.nx, dims.ny))
-            for j in range(bit_levels(n))
-            for _ in range(params.pairs_per_level)]
+            for a, b in [_robust_span(dims, params, axis)]
+            for q in range((b - a) // 2)]
 
 
 def _on_axis(axis: int, a: int, b: int):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Dims, FfastError, FfastPlan, SparseSpectrum
+from .core import STATUS_SUCCESS, Dims, FfastError, FfastPlan, SparseSpectrum
 from .oracle import SignalSource
 from .peeler import decode
 
@@ -83,7 +83,14 @@ class DiagonalView(SignalSource):
 
 def coprime_sparse_dft(source: SignalSource, dims: Dims,
                        plan1d: FfastPlan) -> SparseSpectrum:
-    """Sparse 2D DFT of a co-prime-extent grid via the 1-row pipeline."""
+    """Sparse 2D DFT of a co-prime-extent grid via the 1-row pipeline.
+
+    Decodes the diagonal view (DiagonalView) with plan1d and relabels each
+    recovered frequency f as the pair (u, v) of diag_freq_pair. A decode
+    that does not end in success raises FfastError, naming its status and
+    how many entries it had recovered, rather than return part of the
+    spectrum as if it were the whole.
+    """
     _require_coprime(dims)
     if source.dims != dims:
         raise ValueError("source dims %r do not match %r" % (source.dims, dims))
@@ -91,6 +98,9 @@ def coprime_sparse_dft(source: SignalSource, dims: Dims,
         raise ValueError("plan dims %r are not the 1-row view of n = %d"
                          % (plan1d.dims, dims.n))
     report = decode(DiagonalView(source), plan1d)
+    if report.status != STATUS_SUCCESS:
+        raise FfastError("the 1-row decode ended %r with %d entries recovered"
+                         % (report.status, len(report.spectrum)))
     remapped = {diag_freq_pair(f, dims): val
                 for (_, f), val in report.spectrum.items()}
     return SparseSpectrum.from_entries(dims, remapped)

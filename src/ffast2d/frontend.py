@@ -71,7 +71,8 @@ class StageLattices:
     inv[c] rotated by dq[c] = (dq_x, dq_y) lattice steps from that
     lattice's first chain, so its bin (i, j) is plane inv[c] times
     exp(2j*pi*(dq_x*i/bins_x + dq_y*j/bins_y)). sizes[g] counts the chains
-    on lattice g and lead[g] is the shift of its first chain.
+    on lattice g and lead[g] is the shift of its first chain; shifts is the
+    stage's (chains, 2) shift array.
 
     Each entry of reads is one grid read, (rows, cols, shape, cells,
     planes): the read's arguments, the shape of the grid it returns
@@ -84,6 +85,7 @@ class StageLattices:
     dq: np.ndarray
     sizes: np.ndarray
     lead: tuple[tuple[int, int], ...]
+    shifts: np.ndarray
     reads: tuple
 
 
@@ -127,7 +129,7 @@ def stage_lattices(dims: Dims, stage: StageConfig) -> StageLattices:
             by_row.setdefault(stage.shifts[cs[0]][0], []).append(cs[0])
     groups += [(False, cs) for cs in by_row.values()]
 
-    shifts = np.asarray(stage.shifts, dtype=np.int64).reshape(-1, 2)
+    shifts = _frozen(stage.shifts).reshape(-1, 2)
     rows = (shifts[:, :1] + sx * np.arange(bx)) % dims.nx
     cols = (shifts[:, 1:] + sy * np.arange(by)) % dims.ny
     reads = []
@@ -148,7 +150,7 @@ def stage_lattices(dims: Dims, stage: StageConfig) -> StageLattices:
                       _frozen(r * len(distinct_cols) + c),
                       _frozen(inv[cs][keep])))
     return StageLattices(_frozen(inv), _frozen(dq), _frozen(np.bincount(inv)),
-                         tuple(lead), tuple(reads))
+                         tuple(lead), shifts, tuple(reads))
 
 
 @lru_cache(maxsize=16)

@@ -24,26 +24,32 @@ The offsets are drawn modulo the grid size, not the stage period, so a
 stage's chains sit on few distinct lattices: n_g chains on lattice g.
 The front end keeps one plane per lattice; the classifier tests a bin's
 energy on the planes and derives the chains of a live bin from them by
-a phase ramp. Chains on one lattice carry one noise draw, so the energy
-and value thresholds against the per-bin noise variance sigma2/B are
-sized by the multiplicities n_g, not by the chain count alone (see
-_robust_scan). The value estimate is least squares across all chains
-rather than the anchor alone. At sigma2 = 0 the classifier finds the
-same singletons as the ratio test, so both modes peel alike.
+a phase ramp, both read from the front end's lattice table
+(frontend.stage_lattices). Chains on one lattice carry one noise draw, so
+the energy and value thresholds against the per-bin noise variance
+sigma2/B are sized by the multiplicities n_g, not by the chain count
+alone (see _energy_test and _fit). A lone vector (robust_classify) has
+independent chains and goes to the same energy test and the same fit.
+
+Each axis's ladder reads its pairs as two strided views of the chain
+axis, ys[a:b:2] and ys[a + 1:b:2], with [a, b) from core._robust_span,
+the pair order design_shifts and check_robust_layout also follow. The
+value estimate is least squares across all chains rather than the anchor
+alone. At sigma2 = 0 the classifier finds the same singletons as the
+ratio test, so both modes peel alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+import operator
 
 import numpy as np
 
 from .core import (GAMMA_SINGLE, GAMMA_ZERO, Dims, FfastPlan, PlanError,
-                   RobustParams, StageConfig, bit_levels, check_robust_layout,
-                   design_shifts, robust_pairs)
-from .frontend import BinObservation, _frozen, stage_lattices
+                   RobustParams, _robust_span, check_robust_layout,
+                   design_shifts)
+from .frontend import BinObservation, NonFiniteSample, stage_lattices
 from .peeler import BinClass, decode, observation_zero_threshold
 from .roots import unit_roots
 
@@ -52,130 +58,61 @@ from .roots import unit_roots
 VALUE_SIGMAS = 4.0
 
 
-@dataclass(frozen=True)
-class _DimLadder:
-    """Chain bookkeeping for one dimension: pair p = j*reps + rep, the
-    repetition rep at bit level j, is chains c1[p] and c2[p] = c1[p] + 1."""
-
-    n: int
-    levels: int
-    reps: int
-    c1: np.ndarray
-    c2: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _ladders(dims: Dims, params: RobustParams) -> tuple[_DimLadder, ...]:
-    """The x and y ladders of the robust layout (core.robust_pairs)."""
-    axes = np.array([axis for axis, _, _ in robust_pairs(dims, params)])
-    ladders = []
-    for axis, n in enumerate((dims.nx, dims.ny)):
-        c1 = _frozen(1 + 2 * np.flatnonzero(axes == axis))
-        ladders.append(_DimLadder(n, bit_levels(n), params.pairs_per_level,
-                                  c1, _frozen(c1 + 1)))
-    return tuple(ladders)
-
-
-def _ladder_decode(ys: np.ndarray, ladder: _DimLadder) -> np.ndarray:
-    """Integer indices from pair phase differences, shape (m,) for (C, m) ys."""
-    m = ys.shape[1]
-    if ladder.levels == 0:
-        return np.zeros(m, dtype=np.int64)
-    frac = (np.angle(ys[ladder.c2] * np.conj(ys[ladder.c1])) / (2 * np.pi)
-            % 1.0).reshape(ladder.levels, ladder.reps, m)
+def _ladder_decode(ys: np.ndarray, n: int, span: tuple[int, int],
+                   reps: int) -> np.ndarray:
+    """Integer indices in [0, n) from the phase differences of the pairs in
+    chains span = [a, b) (core._robust_span), shape (m,) for (C, m) ys."""
+    a, b = span
+    levels = (b - a) // (2 * reps)
+    if levels == 0:
+        return np.zeros(ys.shape[1], dtype=np.int64)
+    frac = (np.angle(ys[a + 1:b:2] * np.conj(ys[a:b:2])) / (2 * np.pi)
+            % 1.0).reshape(levels, reps, ys.shape[1])
     est = frac[0]
-    for j in range(1, ladder.levels):
+    for j in range(1, levels):
         whole = np.rint(est * (1 << j) - frac[j])
         est = (whole + frac[j]) / (1 << j)
-    ints = np.rint(est * ladder.n).astype(np.int64) % ladder.n
-    return np.sort(ints, axis=0)[ladder.reps // 2]
+    ints = np.rint(est * n).astype(np.int64) % n
+    return np.sort(ints, axis=0)[reps // 2]
 
 
-def _estimate_bins(ys: np.ndarray, shifts: np.ndarray, ladders, dims: Dims):
-    """Location, least-squares value and residual energy per column of ys.
+def _energy_test(energy, n: int, spread: float, sigma2: float,
+                 zero_thresh: float) -> np.ndarray:
+    """Which bins hold more than noise, from energy = sum_g n_g |y_g|^2.
 
-    shifts is the (C, 2) int64 chain shift table.
+    With n_g chains on plane g and n chains in all, spread = sum_g n_g^2,
+    a noise-only bin's energy has mean n sigma2 and standard deviation
+    sqrt(spread) sigma2. The threshold is (n + GAMMA_ZERO sqrt(n spread))
+    sigma2, which is (1 + GAMMA_ZERO) n sigma2 for independent chains
+    (every n_g = 1); the slack is fixed in core.
     """
-    uu = _ladder_decode(ys, ladders[0])
-    vv = _ladder_decode(ys, ladders[1])
+    return energy > ((n + GAMMA_ZERO * math.sqrt(n * spread)) * sigma2
+                     + n * zero_thresh ** 2)
+
+
+def _fit(ys: np.ndarray, shifts: np.ndarray, dims: Dims,
+         params: RobustParams, sigma2: float, spread: float,
+         zero_thresh: float):
+    """Singleton test, location and least-squares value per column of the
+    (C, m) chain columns ys; shifts is the (C, 2) chain shift array.
+
+    A singleton's fit residual may reach (1 + GAMMA_SINGLE) C sigma2, and
+    its value, whose variance is sigma2 spread / C^2, must stand
+    VALUE_SIGMAS deviations above zero.
+    """
+    n = ys.shape[0]
+    uu, vv = (_ladder_decode(ys, size, _robust_span(dims, params, axis),
+                             params.pairs_per_level)
+              for axis, size in enumerate((dims.nx, dims.ny)))
     w = (unit_roots(dims.nx)[shifts[:, :1] * uu % dims.nx]
          * unit_roots(dims.ny)[shifts[:, 1:] * vv % dims.ny])
-    vals = (np.conj(w) * ys).sum(axis=0) / ys.shape[0]
+    vals = (np.conj(w) * ys).sum(axis=0) / n
     resid = (np.abs(ys - vals[None, :] * w) ** 2).sum(axis=0)
-    return uu, vv, vals, resid
-
-
-@dataclass(frozen=True)
-class _StageChains:
-    """A robust stage's chains and the lattice planes they are derived from.
-
-    Chain c is plane inv[c] times a phase ramp of dq[c] lattice steps over
-    the (bins_x, bins_y) bin grid; sizes[g] counts the chains of plane g
-    and spread is the sum of their squares.
-    """
-
-    ladders: tuple
-    shifts: np.ndarray
-    inv: np.ndarray
-    dq: np.ndarray
-    sizes: np.ndarray
-    spread: float
-    bins: tuple[int, int]
-
-    def expand(self, planes: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """(C, m) chain columns from (G, m) plane columns at flat bins pos."""
-        bx, by = self.bins
-        i, j = np.divmod(pos, by)
-        ramp = (unit_roots(bx)[self.dq[:, :1] * i % bx]
-                * unit_roots(by)[self.dq[:, 1:] * j % by])
-        return planes[self.inv] * ramp
-
-
-@lru_cache(maxsize=16)
-def _stage_chains(dims: Dims, stage: StageConfig,
-                  params: RobustParams) -> _StageChains:
-    lat = stage_lattices(dims, stage)
-    return _StageChains(_ladders(dims, params),
-                        _frozen(stage.shifts), lat.inv, lat.dq, lat.sizes,
-                        float(lat.sizes @ lat.sizes),
-                        (stage.bins_x, stage.bins_y))
-
-
-def _robust_scan(cols: np.ndarray, pos: np.ndarray, chains: _StageChains,
-                 dims: Dims, sigma2: float, zero_thresh: float):
-    """Energy test on (G, m) lattice columns at flat bins pos, then ladder
-    estimates on the chains of the live columns.
-
-    With n_g chains on plane g and C chains in all, a noise-only bin's
-    energy sum_g n_g |y_g|^2 has mean C sigma2 and standard deviation
-    sqrt(sum_g n_g^2) sigma2, and the least-squares value has variance
-    sigma2 sum_g n_g^2 / C^2; both thresholds follow. The energy threshold
-    is (C + GAMMA_ZERO sqrt(C sum_g n_g^2)) sigma2, which is
-    (1 + GAMMA_ZERO) C sigma2 for independent chains (every n_g = 1), and
-    a singleton's fit residual may reach (1 + GAMMA_SINGLE) C sigma2; both
-    slacks are fixed in core.
-    """
-    n = len(chains.inv)
-    m = cols.shape[1]
-    floor = n * zero_thresh ** 2
-    energy = chains.sizes @ (np.abs(cols) ** 2)
-    nonzero = energy > ((n + GAMMA_ZERO * math.sqrt(n * chains.spread))
-                        * sigma2 + floor)
-    single = np.zeros(m, dtype=bool)
-    uu = np.zeros(m, dtype=np.int64)
-    vv = np.zeros(m, dtype=np.int64)
-    vals = np.zeros(m, dtype=np.complex128)
-    live = np.flatnonzero(nonzero)
-    if live.size:
-        ys = chains.expand(cols[:, live], pos[live])
-        u, v, val, resid = _estimate_bins(ys, chains.shifts, chains.ladders,
-                                          dims)
-        single[live] = ((resid <= (1 + GAMMA_SINGLE) * n * sigma2
-                         + floor) & (np.abs(val) > zero_thresh)
-                        & (np.abs(val) ** 2 > VALUE_SIGMAS ** 2 * sigma2
-                           * chains.spread / n ** 2))
-        uu[live], vv[live], vals[live] = u, v, val
-    return nonzero, single, uu, vv, vals
+    single = ((resid <= (1 + GAMMA_SINGLE) * n * sigma2 + n * zero_thresh ** 2)
+              & (np.abs(vals) > zero_thresh)
+              & (np.abs(vals) ** 2 > VALUE_SIGMAS ** 2 * sigma2 * spread
+                 / n ** 2))
+    return single, uu, vv, vals
 
 
 def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
@@ -183,35 +120,61 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
     """Classifies one robust-layout observation vector.
 
     A lone vector carries no lattice structure, so its chains count as
-    independent: every chain is its own plane.
+    independent: its energy is sum_c |y_c|^2 and its spread is C.
     """
-    check_robust_layout(dims, obs.shifts, params)
-    n = len(obs.shifts)
-    chains = _StageChains(_ladders(dims, params),
-                          np.asarray(obs.shifts, dtype=np.int64), np.arange(n),
-                          np.zeros((n, 2), dtype=np.int64),
-                          np.ones(n, dtype=np.int64), n, (1, 1))
+    try:
+        shifts = tuple((operator.index(s1), operator.index(s2))
+                       for s1, s2 in obs.shifts)
+    except (TypeError, ValueError) as exc:
+        raise PlanError("robust shifts must be integer pairs") from exc
+    check_robust_layout(dims, shifts, params)
+    n = len(shifts)
     ys = np.asarray(obs.values, dtype=np.complex128)[:, None]
     if ys.shape[0] != n:
         raise PlanError("expected %d chain values, got %d" % (n, ys.shape[0]))
+    if not np.isfinite(ys).all():
+        raise NonFiniteSample("non-finite chain value in a robust vector")
     sigma2 = params.noise_var if noise_var is None else noise_var
-    return BinClass.from_scan(_robust_scan(ys, np.zeros(1, dtype=np.int64),
-                                           chains, dims, sigma2,
-                                           observation_zero_threshold([ys])))
+    zero_thresh = observation_zero_threshold([ys])
+    nonzero = _energy_test((np.abs(ys) ** 2).sum(axis=0), n, n, sigma2,
+                           zero_thresh)
+    fit = _fit(ys, np.asarray(shifts, dtype=np.int64), dims, params, sigma2,
+               n, zero_thresh)
+    return BinClass.from_scan((nonzero,) + fit)
 
 
 def robust_classifier(plan: FfastPlan, zero_thresh: float, unit: float):
     """The robust plan's bin classifier, as peeler.peel_stacks calls it,
-    on observations scaled by `unit`."""
+    on observations scaled by `unit`.
+
+    Stage si's chain c is plane inv[c] of its lattice table
+    (frontend.stage_lattices) times a phase ramp of dq[c] lattice steps
+    over the bin grid. The energy test runs on the planes; only the live
+    columns are expanded to chains and fitted.
+    """
     params, dims = plan.robust_params, plan.dims
-    chains = [_stage_chains(dims, s, params) for s in plan.stages]
+    lattices = [stage_lattices(dims, s) for s in plan.stages]
+    spreads = [float(lat.sizes @ lat.sizes) for lat in lattices]
     positions = [np.arange(s.bin_count) for s in plan.stages]
     sigma2_obs = [params.noise_var / s.bin_count * unit * unit
                   for s in plan.stages]
 
     def classify(si, idx, cols):
-        return _robust_scan(cols, positions[si][idx], chains[si], dims,
-                            sigma2_obs[si], zero_thresh)
+        lat, stage, sigma2 = lattices[si], plan.stages[si], sigma2_obs[si]
+        nonzero = _energy_test(lat.sizes @ (np.abs(cols) ** 2), len(lat.inv),
+                               spreads[si], sigma2, zero_thresh)
+        single, uu, vv, vals = (np.zeros(cols.shape[1], dtype=t) for t in
+                                (bool, np.int64, np.int64, np.complex128))
+        live = np.flatnonzero(nonzero)
+        if live.size:
+            bx, by = stage.bins_x, stage.bins_y
+            i, j = np.divmod(positions[si][idx][live], by)
+            ramp = (unit_roots(bx)[lat.dq[:, :1] * i % bx]
+                    * unit_roots(by)[lat.dq[:, 1:] * j % by])
+            single[live], uu[live], vv[live], vals[live] = _fit(
+                cols[:, live][lat.inv] * ramp, lat.shifts, dims, params,
+                sigma2, spreads[si], zero_thresh)
+        return nonzero, single, uu, vv, vals
 
     return classify
 

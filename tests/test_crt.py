@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ffast2d.core import Dims, RobustParams, SparseSpectrum, build_plan
+from ffast2d.core import (Dims, FfastError, RobustParams, SparseSpectrum,
+                          build_plan)
 from ffast2d.crt import (DiagonalView, DimsNotCoprime, coprime_sparse_dft,
                          diag_freq_pair, good_thomas_forward,
                          good_thomas_reverse)
@@ -159,3 +160,13 @@ def test_coprime_sparse_dft_validates_inputs():
         coprime_sparse_dft(good.source, Dims(4, 5),
                            build_plan(Dims(1, 12), [3, 4],
                                       regime="very-sparse"))
+
+
+def test_coprime_sparse_dft_refuses_a_failed_decode():
+    # k = 12 on the 1x182 [13, 14] plan, seed 2: the decode stalls with
+    # 8 of the 12 entries peeled, which is not the spectrum
+    dims = Dims(13, 14)
+    plan = build_plan(Dims(1, dims.n), [13, 14], regime="very-sparse")
+    source = gen_instance(dims, 12, seed=2).source
+    with pytest.raises(FfastError, match="not-a-singleton-loop.* 8 entries"):
+        coprime_sparse_dft(source, dims, plan)

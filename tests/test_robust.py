@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from ffast2d.core import (Constellation, Dims, FfastPlan, PlanError,
-                          RobustParams, SparseSpectrum, build_plan,
-                          robust_pairs, STATUS_SUCCESS)
-from ffast2d.frontend import BinObservation, NonFiniteSample, run_frontend
+                          RobustParams, SparseSpectrum, _robust_span,
+                          bit_levels, build_plan, robust_pairs, STATUS_SUCCESS)
+from ffast2d.frontend import (BinObservation, NonFiniteSample, run_frontend,
+                              stage_lattices)
 from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
                             gen_instance, synthesize_dense)
 from ffast2d.peeler import (KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
                             BinClass, _ratio_scan, decode)
 from ffast2d import peeler
-from ffast2d.robust import (_ladder_decode, _stage_chains, design_shifts,
-                            robust_classify, robust_decode)
+from ffast2d.robust import (_ladder_decode, design_shifts, robust_classify,
+                            robust_decode)
 
 
 def _weights(shifts, dims, u, v):
@@ -110,6 +111,45 @@ def test_robust_classify_rejects_wrong_layout():
         robust_classify(BinObservation(0, (0, 0),
                                        np.ones(len(shifts), dtype=complex),
                                        broken), dims, params)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan),
+                                 complex(np.inf, 0), complex(-np.inf, 0),
+                                 complex(0, np.inf), complex(0, -np.inf)],
+                         ids=["nan", "nan-imag", "inf", "-inf", "inf-imag",
+                              "-inf-imag"])
+def test_robust_classify_refuses_non_finite_values(bad):
+    dims = Dims(8, 8)
+    params = RobustParams(chains_per_dim=1, reps=1, noise_var=0.0)
+    shifts = design_shifts(dims, params, seed=1)
+    values = np.ones(len(shifts), dtype=complex)
+    values[4] = bad
+    # RuntimeWarnings are errors under the suite's filterwarnings
+    with pytest.raises(NonFiniteSample):
+        robust_classify(BinObservation(0, (0, 0), values, shifts), dims,
+                        params)
+
+
+def test_robust_classify_takes_shifts_as_lists():
+    dims = Dims(16, 16)
+    params = RobustParams(chains_per_dim=1, reps=3, noise_var=0.25)
+    for entries in ({(5, 11): 2.0 - 1.0j}, {}, {(1, 2): 1.0, (9, 3): -1.0}):
+        obs = _obs_for(dims, params, entries, sigma2=0.25, seed=4)
+        as_lists = BinObservation(0, (0, 0), obs.values,
+                                  [list(s) for s in obs.shifts])
+        arrays = BinObservation(0, (0, 0), obs.values,
+                                np.asarray(obs.shifts))
+        want = robust_classify(obs, dims, params)
+        assert robust_classify(as_lists, dims, params) == want
+        assert robust_classify(arrays, dims, params) == want
+    shifts = [list(s) for s in design_shifts(dims, params, seed=1)]
+    ones = np.ones(len(shifts), dtype=complex)
+    for c, bad in ((3, [shifts[3][0], 0, 0]), (0, [0]), (5, 7),
+                   (2, [1.5, 0])):
+        broken = shifts[:c] + [bad] + shifts[c + 1:]
+        with pytest.raises(PlanError):
+            robust_classify(BinObservation(0, (0, 0), ones, broken), dims,
+                            params)
 
 
 def test_robust_singleton_location_under_noise():
@@ -360,41 +400,74 @@ def test_robust_decode_reports_success_under_noise():
     assert wins >= 36
 
 
-def _ladder_decode_per_pair_reference(ys, ladder):
-    # one np.angle call per ladder pair, kept as the oracle
+def _ladder_decode_per_pair_reference(ys, dims, params, axis):
+    # one np.angle call per ladder pair, kept as the oracle; pair p of
+    # robust_pairs is chains 2p + 1 and 2p + 2
+    n = (dims.nx, dims.ny)[axis]
+    levels, reps = bit_levels(n), params.pairs_per_level
     m = ys.shape[1]
-    if ladder.levels == 0:
+    if levels == 0:
         return np.zeros(m, dtype=np.int64)
-    frac = np.empty((ladder.levels, ladder.reps, m))
-    for p, (c1, c2) in enumerate(zip(ladder.c1.tolist(), ladder.c2.tolist())):
-        j, rep = divmod(p, ladder.reps)
+    frac = np.empty((levels, reps, m))
+    seen = {}
+    for p, (ax, _, step) in enumerate(robust_pairs(dims, params)):
+        if ax != axis:
+            continue
+        j = step.bit_length() - 1
+        rep = seen[j] = seen.get(j, -1) + 1
+        c1, c2 = 2 * p + 1, 2 * p + 2
         frac[j, rep] = np.angle(ys[c2] * np.conj(ys[c1])) / (2 * np.pi) % 1.0
     est = frac[0]
-    for j in range(1, ladder.levels):
+    for j in range(1, levels):
         whole = np.rint(est * (1 << j) - frac[j])
         est = (whole + frac[j]) / (1 << j)
-    ints = np.rint(est * ladder.n).astype(np.int64) % ladder.n
-    return np.sort(ints, axis=0)[ladder.reps // 2]
+    ints = np.rint(est * n).astype(np.int64) % n
+    return np.sort(ints, axis=0)[reps // 2]
 
 
-def test_ladder_decode_matches_per_pair_reference():
-    # noisy chain columns of the criterion-8 plan (280x280, 181 chains,
-    # k = 50 at 13 dB), every bin of every stage, plus m = 0 and m = 1
-    dims = Dims(280, 280)
-    rho = 10 ** 1.3 / Constellation(1.0, 2, 8).mean_power()
-    params = RobustParams(chains_per_dim=1, reps=5, noise_var=1.0, seed=8)
-    plan = build_plan(dims, [25, 64, 49], "less-sparse", mode="robust",
+def _ladder_plan(dims, reps):
+    # criterion 8's plan and k = 50 instance at 13 dB, or a 1-row or
+    # 1-column [13, 14] plan, whose x or y ladder is empty, at k = 4
+    if dims == Dims(280, 280):
+        rho = 10 ** 1.3 / Constellation(1.0, 2, 8).mean_power()
+        params = RobustParams(chains_per_dim=1, reps=reps, noise_var=1.0,
+                              seed=8)
+        plan = build_plan(dims, [25, 64, 49], "less-sparse", mode="robust",
+                          robust_params=params)
+        inst = gen_instance(dims, 50, Constellation(rho, 2, 8), seed=4321)
+        return plan, NoisySource(inst.source, 1.0, seed=77)
+    params = RobustParams(chains_per_dim=1, reps=reps, noise_var=0.5, seed=3)
+    plan = build_plan(dims, [13, 14], "very-sparse", mode="robust",
                       robust_params=params)
-    inst = gen_instance(dims, 50, Constellation(rho, 2, 8), seed=4321)
-    stacks = run_frontend(plan, NoisySource(inst.source, 1.0, seed=77))
-    for stage, stack in zip(plan.stages, stacks):
-        chains = _stage_chains(dims, stage, params)
+    inst = gen_instance(dims, 4, seed=reps)
+    return plan, NoisySource(inst.source, 0.5, seed=reps)
+
+
+def _check_ladders(plan, source):
+    dims, params = plan.dims, plan.robust_params
+    for stage, stack in zip(plan.stages, run_frontend(plan, source)):
+        lat = stage_lattices(dims, stage)
         cols = stack.reshape(stack.shape[0], -1)
         pos = np.arange(cols.shape[1])
         for sel in (pos, pos[:0], pos[5:6]):
-            ys = chains.expand(cols[:, sel], sel)
-            for ladder in chains.ladders:
-                got = _ladder_decode(ys, ladder)
-                want = _ladder_decode_per_pair_reference(ys, ladder)
+            i, j = np.divmod(sel, stage.bins_y)
+            ramp = np.exp(2j * np.pi * (lat.dq[:, :1] * i / stage.bins_x
+                                        + lat.dq[:, 1:] * j / stage.bins_y))
+            ys = cols[:, sel][lat.inv] * ramp
+            for axis, n in enumerate((dims.nx, dims.ny)):
+                got = _ladder_decode(ys, n, _robust_span(dims, params, axis),
+                                     params.pairs_per_level)
+                want = _ladder_decode_per_pair_reference(ys, dims, params,
+                                                         axis)
                 assert got.shape == (len(sel),)
                 assert np.array_equal(got, want)
+
+
+def test_ladder_decode_matches_per_pair_reference():
+    # noisy chain columns of every bin of every stage, plus m = 0 and
+    # m = 1; chain c is lattice plane inv[c] times its phase ramp
+    for dims, reps in ((Dims(280, 280), 5), (Dims(1, 182), 1),
+                       (Dims(1, 182), 3), (Dims(1, 182), 5),
+                       (Dims(182, 1), 1), (Dims(182, 1), 3),
+                       (Dims(182, 1), 5)):
+        _check_ladders(*_ladder_plan(dims, reps))
