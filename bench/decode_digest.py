@@ -12,9 +12,11 @@ The set covers the benchmark's three workload families (lsparse-280,
 vsparse-2520, robust-280), the plans of acceptance criterion 6 at their
 k, and the plans of criteria 2, 3 and 4 across their k. Each decode is
 one line: its family, k and instance seed, then status, rounds, first-pass
-bin statistics, charged and distinct samples, the number of entries and
+bin statistics, charged and distinct samples, the number of entries,
 sha256s of the sorted support and of the values in support order (their
-reprs, so a one-bit change shows).
+reprs, so a one-bit change shows), and a sha256 of the front end's
+observation stacks (frontend.run_frontend on a fresh source from the same
+seeds: each stack's shape and bytes, stages and planes in order).
 
 It also digests lone-vector classifications: criterion 8's
 chains-vs-reliability setup (64x64, design seed 2, noise variance 0.5),
@@ -83,7 +85,18 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _stacks_sha(stacks) -> str:
+    import numpy as np
+
+    h = hashlib.sha256()
+    for stack in stacks:
+        h.update(repr(stack.shape).encode())
+        h.update(np.ascontiguousarray(stack).tobytes())
+    return h.hexdigest()
+
+
 def digest() -> list[dict]:
+    from ffast2d.frontend import run_frontend
     from ffast2d.peeler import decode
 
     records = []
@@ -103,6 +116,8 @@ def digest() -> list[dict]:
                     "entries": len(entries),
                     "support": _sha(repr([loc for loc, _ in entries])),
                     "values": _sha(repr([val for _, val in entries])),
+                    "stacks": _stacks_sha(run_frontend(plan,
+                                                       make(plan, k, seed))),
                 })
     return records
 

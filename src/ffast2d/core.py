@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -199,20 +200,40 @@ def check_robust_layout(dims: Dims, shifts, params: RobustParams) -> None:
         r = shifts[2 * p + 1][axis] % n
         want += _on_axis(axis, r, (r + step) % n)
     for c, (got, need) in enumerate(zip(shifts, want)):
-        if tuple(got) != need:
+        if got != need:
             raise PlanError("robust shift %d is %r; the dyadic pair layout "
                             "needs %r" % (c, got, need))
 
 
+def int_shifts(shifts) -> tuple[tuple[int, int], ...]:
+    """shifts as a tuple of int pairs. Each entry must be a pair of
+    integers (operator.index), so 1.5 and 1.0 are refused with a PlanError
+    naming the entry (or shifts itself, if it is not iterable) rather than
+    cast; lists and integer arrays pass."""
+    out, shift = [], shifts
+    try:
+        for shift in shifts:
+            s1, s2 = shift
+            out.append((operator.index(s1), operator.index(s2)))
+    except (TypeError, ValueError) as exc:
+        raise PlanError("a shift must be a pair of integers, got %r"
+                        % (shift,)) from exc
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class StageConfig:
-    """One subsampling stage: periods, bin grid and delay-chain shifts."""
+    """One subsampling stage: periods, bin grid and delay-chain shifts;
+    the shifts are kept as a tuple of int pairs (int_shifts)."""
 
     sub_x: int
     sub_y: int
     bins_x: int
     bins_y: int
     shifts: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "shifts", int_shifts(self.shifts))
 
     @classmethod
     def from_subsampling(cls, dims: Dims, sub_x: int, sub_y: int,
@@ -221,8 +242,7 @@ class StageConfig:
             raise PlanError(
                 "subsampling (%d, %d) does not divide dims (%d, %d)"
                 % (sub_x, sub_y, dims.nx, dims.ny))
-        return cls(sub_x, sub_y, dims.nx // sub_x, dims.ny // sub_y,
-                   tuple((int(s1), int(s2)) for s1, s2 in shifts))
+        return cls(sub_x, sub_y, dims.nx // sub_x, dims.ny // sub_y, shifts)
 
     @property
     def bin_count(self) -> int:

@@ -21,14 +21,17 @@ Both the noiseless layout [(0,0), (1,0), (0,1)] and the robust dyadic
 layout, whose offsets all lie on one axis, take two reads per stage.
 A read charges every chain's cells, so sample accounting counts chains,
 but it returns each distinct cell once: the grid of the read's distinct
-rows by its distinct columns, in first-seen order. A lattice that several
-chains of one read share thus comes back once.
+rows by its distinct columns, in first-seen order.
 
-Only each lattice's first chain is kept from the reads: per read, a cached
-selector says where its cells sit in the returned grid, and one gather
-fills the planes. A read that returns any other shape than its distinct
-rows by its distinct columns is refused. The (lattices, bins_x, bins_y)
-stack then takes one batched FFT, in place.
+A read's chains share one offset on one axis, so the grid comes back in
+lattice blocks. Chains on one lattice read the same rows (or columns),
+rotated, and distinct lattices read disjoint ones, so the grid is one
+(bins_x, bins_y) block per lattice of the read, in the order of and as
+read by each lattice's first chain in the read. That chain is the
+lattice's first chain whenever the read holds it, and only those blocks
+fill planes, in one gather per read. A read that returns any other shape
+is refused. The (lattices, bins_x, bins_y) stack then takes one batched
+FFT, in place.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Dims, FfastError, FfastPlan, StageConfig
-from .oracle import _first_seen
 
 
 class ShapeMismatch(FfastError, ValueError):
@@ -74,11 +76,13 @@ class StageLattices:
     on lattice g and lead[g] is the shift of its first chain; shifts is the
     stage's (chains, 2) shift array.
 
-    Each entry of reads is one grid read, (rows, cols, shape, cells,
-    planes): the read's arguments, the shape of the grid it returns
-    (distinct rows by distinct columns, in first-seen order), where each
-    kept cell sits in that grid flattened, shape (kept chains, bins_x,
-    bins_y), and the planes the kept chains fill.
+    Each entry of reads is one grid read, (rows, cols, by_column, blocks,
+    keep, planes): the read's arguments; whether its chains share a
+    column offset, so that its lattices come back stacked along the rows,
+    or a row offset, stacked along the columns; the number of lattice
+    blocks it returns, in the order of each lattice's first chain in the
+    read; the blocks whose chain there is their lattice's first chain;
+    and the planes those blocks fill.
     """
 
     inv: np.ndarray
@@ -134,21 +138,13 @@ def stage_lattices(dims: Dims, stage: StageConfig) -> StageLattices:
     cols = (shifts[:, 1:] + sy * np.arange(by)) % dims.ny
     reads = []
     for by_column, cs in groups:
-        keep = np.flatnonzero(first[cs])
-        read_rows, read_cols = ((rows[cs].ravel(), cols[cs[0]]) if by_column
-                                else (rows[cs[0]], cols[cs].ravel()))
-        distinct_rows, row_at = _first_seen(read_rows, dims.nx)
-        distinct_cols, col_at = _first_seen(read_cols, dims.ny)
-        r = np.arange(len(read_rows)) if row_at is None else row_at
-        c = np.arange(len(read_cols)) if col_at is None else col_at
-        if by_column:
-            r, c = r.reshape(-1, bx)[keep, :, None], c[None, None, :]
-        else:
-            r, c = r[None, :, None], c.reshape(-1, by)[keep, None, :]
-        reads.append((_frozen(read_rows), _frozen(read_cols),
-                      (len(distinct_rows), len(distinct_cols)),
-                      _frozen(r * len(distinct_cols) + c),
-                      _frozen(inv[cs][keep])))
+        read = ((rows[cs].ravel(), cols[cs[0]]) if by_column
+                else (rows[cs[0]], cols[cs].ravel()))
+        blocks = list(dict.fromkeys(inv[cs].tolist()))
+        planes = inv[cs][first[cs]]
+        keep = [blocks.index(g) for g in planes.tolist()]
+        reads.append((_frozen(read[0]), _frozen(read[1]), by_column,
+                      len(blocks), _frozen(keep), _frozen(planes)))
     return StageLattices(_frozen(inv), _frozen(dq), _frozen(np.bincount(inv)),
                          tuple(lead), shifts, tuple(reads))
 
@@ -179,13 +175,15 @@ def stage_observations(source, dims: Dims, stage: StageConfig) -> np.ndarray:
     lat = stage_lattices(dims, stage)
     bx, by = stage.bins_x, stage.bins_y
     out = np.empty((len(lat.lead), bx, by), dtype=np.complex128)
-    for rows, cols, shape, cells, planes in lat.reads:
+    for rows, cols, by_column, blocks, keep, planes in lat.reads:
         grid = source.sample_grid(rows, cols)
+        shape = (blocks * bx, by) if by_column else (bx, blocks * by)
         if grid.shape != shape:
             raise ShapeMismatch("a read of %d rows by %d columns returned "
                                 "shape %r, not its distinct cells %r"
                                 % (len(rows), len(cols), grid.shape, shape))
-        out[planes] = grid.reshape(-1)[cells]
+        out[planes] = (grid.reshape(blocks, bx, by) if by_column else
+                       grid.reshape(bx, blocks, by).transpose(1, 0, 2))[keep]
     # a NaN or infinite sample spreads to its whole plane, and a plane of
     # finite samples near the float maximum can overflow: one check after
     # the FFT refuses both

@@ -272,8 +272,7 @@ def _first_pass(cols: np.ndarray, dims: Dims, zero_thresh: float):
 
 
 def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
-                max_rounds: int | None, cut: float, unit: float,
-                trace=None) -> DecodeReport:
+                cut: float, unit: float, trace=None) -> DecodeReport:
     """Peels the plan's observation stacks with the given bin classifier.
 
     Each stack holds one plane per distinct lattice of its stage
@@ -338,13 +337,10 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
                         minlength=3 * len(stages))
     bin_stats = [{KIND_ZERO_TON: z, KIND_SINGLETON: s, KIND_MULTI_TON: m}
                  for z, m, s in kinds.reshape(-1, 3).tolist()]
-    if max_rounds is None:
-        max_rounds = total + len(stages)
     peels = []
     rounds = 0
-    deadlock = False
     prev_live = float("inf")
-    while rounds < max_rounds:
+    while True:
         rounds += 1
         progressed = False
         for si, stage in enumerate(stages):
@@ -368,15 +364,13 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
         # flat round is churn
         live = int(nonzero.sum())
         if not progressed or live >= prev_live:
-            deadlock = True
             break
         prev_live = live
-    residual = bool(nonzero.any())
     entries, events = _sum_peels(peels, dims, cut, unit)
-    if not residual and len(entries) == events:
-        status = STATUS_SUCCESS
-    elif deadlock and residual:
+    if live:
         status = STATUS_NOT_A_SINGLETON_LOOP
+    elif len(entries) == events:
+        status = STATUS_SUCCESS
     else:
         status = STATUS_RESIDUAL_LEFT
     return DecodeReport(SparseSpectrum(dims, entries), samples_touched,
@@ -450,7 +444,7 @@ def _sum_peels(peels, dims: Dims, cut: float, unit: float):
 
 
 def decode(source, plan: FfastPlan, *, min_magnitude: float = 0.0,
-           max_rounds: int | None = None, trace=None) -> DecodeReport:
+           trace=None) -> DecodeReport:
     """Front end plus peeling: the full sparse transform, either mode.
 
     Recovered values at or below max(min_magnitude, zero floor) are
@@ -487,5 +481,5 @@ def decode(source, plan: FfastPlan, *, min_magnitude: float = 0.0,
         # robust imports peeler and a module-level import back is a cycle
         from .robust import robust_classifier
         classify = robust_classifier(plan, zero_thresh, unit)
-    return peel_stacks(stacks, plan, classify, touched, max_rounds,
+    return peel_stacks(stacks, plan, classify, touched,
                        max(min_magnitude * unit, zero_thresh), unit, trace)

@@ -42,13 +42,12 @@ ratio test, so both modes peel alike.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from .core import (GAMMA_SINGLE, GAMMA_ZERO, Dims, FfastPlan, PlanError,
                    RobustParams, _robust_span, check_robust_layout,
-                   design_shifts)
+                   design_shifts, int_shifts)
 from .frontend import BinObservation, NonFiniteSample, stage_lattices
 from .peeler import BinClass, decode, observation_zero_threshold
 from .roots import unit_roots
@@ -122,11 +121,7 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
     A lone vector carries no lattice structure, so its chains count as
     independent: its energy is sum_c |y_c|^2 and its spread is C.
     """
-    try:
-        shifts = tuple((operator.index(s1), operator.index(s2))
-                       for s1, s2 in obs.shifts)
-    except (TypeError, ValueError) as exc:
-        raise PlanError("robust shifts must be integer pairs") from exc
+    shifts = int_shifts(obs.shifts)
     check_robust_layout(dims, shifts, params)
     n = len(shifts)
     ys = np.asarray(obs.values, dtype=np.complex128)[:, None]

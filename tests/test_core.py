@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from ffast2d.core import (Constellation, Dims, FfastPlan, PlanError,
@@ -118,6 +119,33 @@ def test_very_sparse_regime_uses_single_factors():
 def test_stage_config_divisibility():
     with pytest.raises(PlanError, match="does not divide"):
         StageConfig.from_subsampling(Dims(6, 6), 4, 2, [(0, 0)])
+
+
+def test_stage_config_refuses_a_fractional_shift():
+    # a fractional shift is refused, not truncated; pairs of integers in
+    # any sequence are kept as int pairs
+    with pytest.raises(PlanError, match=r"\(1\.5, 0\)"):
+        StageConfig.from_subsampling(Dims(6, 6), 3, 3,
+                                     [(0, 0), (1.5, 0), (0, 1)])
+    with pytest.raises(PlanError, match="got 5"):
+        StageConfig(3, 3, 2, 2, 5)
+    stage = StageConfig(3, 3, 2, 2, [[0, 0], (1, 0), np.array([0, 1])])
+    assert stage.shifts == ((0, 0), (1, 0), (0, 1))
+    assert all(type(s) is int for shift in stage.shifts for s in shift)
+
+
+def test_robust_plan_refuses_a_one_element_shift():
+    # a y-pair chain with no y is refused before the layout check reads it
+    dims = Dims(60, 60)
+    params = RobustParams(reps=1, noise_var=1.0, seed=3)
+    plan = build_plan(dims, [16, 9, 25], "very-sparse", "robust", params)
+    c = 2 * [axis for axis, _, _ in robust_pairs(dims, params)].index(1) + 1
+    stage = plan.stages[0]
+    shifts = list(stage.shifts)
+    shifts[c] = (shifts[c][1],)
+    with pytest.raises(PlanError, match="pair of integers"):
+        FfastPlan(dims, (dataclasses.replace(stage, shifts=tuple(shifts)),)
+                  + plan.stages[1:], plan.mode, params)
 
 
 def test_validate_rejects_noiseless_layout_drift():

@@ -54,14 +54,14 @@ def _worked_30():
                   build_plan(dims, [4, 9, 25]))
 
 
-def _robust_60_one_round():
+def _robust_60():
     dims = Dims(60, 60)
     plan = build_plan(dims, [16, 9, 25], "very-sparse", "robust",
                       RobustParams(chains_per_dim=1, reps=3, noise_var=0.01,
                                    seed=5))
     inst = gen_instance(dims, 12, Constellation(1.0, 2, 8), seed=0)
     return decode(NoisySource(inst.source, 0.01, seed=50), plan,
-                  min_magnitude=0.25, max_rounds=1)
+                  min_magnitude=0.25)
 
 
 RECORDS = [
@@ -81,10 +81,10 @@ RECORDS = [
      _stats((211, 13, 1), (86, 13, 1), (22, 13, 1)),
      1083, 768, 15,
      "fe1cd7d535893cf919d2b44e7bb6e0e1e6b9b8ccb5cbd84d874c31872b3a5745"),
-    (_robust_60_one_round, "residual-left", 1,
+    (_robust_60, "success", 3,
      _stats((9, 3, 4), (3, 3, 3), (17, 5, 3)),
-     3650, 1090, 8,
-     "d975d6286af3005a1d83735c0286e89277031bc37ccca266ab8b9a05301de25f"),
+     3650, 1090, 12,
+     "4ae9151a3d9d9386631b12a84d6df1602a20107d8a69dd522dc6b1ff92b7238c"),
 ]
 
 

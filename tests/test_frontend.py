@@ -213,11 +213,26 @@ def _frontend_case(kind):
 
 
 @pytest.mark.parametrize("kind", ["noiseless", "robust", "criterion-8",
-                                  "diagonal"])
+                                  "diagonal", "anchor-alone"])
 def test_stage_observations_match_alias_oracle_chain_by_chain(kind):
-    plan, src, truth = _frontend_case(kind)
-    dims = plan.dims
-    for stage in plan.stages:
+    if kind == "anchor-alone":
+        # the anchor's column holds no other chain, so the by-column read
+        # comes first and does not hold the anchor
+        src, truth = _worked_source()
+        dims = Dims(6, 6)
+        stages = [StageConfig.from_subsampling(dims, 3, 3,
+                                               [(0, 0), (0, 1), (2, 1)])]
+        reads = stage_lattices(dims, stages[0]).reads
+        assert [(by_column, planes.tolist())
+                for _, _, by_column, _, _, planes in reads] == [
+            (True, [1, 2]), (False, [0])]
+        anchor = stage_observations(src, dims, stages[0])[0]
+        want = alias_sum_oracle(truth, stages[0], (0, 0))
+        assert np.max(np.abs(anchor - want)) < 1e-9
+    else:
+        plan, src, truth = _frontend_case(kind)
+        dims, stages = plan.dims, plan.stages
+    for stage in stages:
         # one plane per lattice: chains whose offsets agree modulo the
         # stage periods read one lattice
         lattices = {(s1 % stage.sub_x, s2 % stage.sub_y)
@@ -273,6 +288,16 @@ def test_run_frontend_reads_two_grids_per_stage():
     # 181 chains per stage on 9, 15 and 13 distinct lattices
     assert [len(s.shifts) for s in plan.stages] == [181] * 3
     assert [len(s) for s in stacks] == [9, 15, 13]
+    # each read returns one block per lattice it covers: the by-column
+    # read (the anchor and the x pairs) keeps all of them, and the by-row
+    # read (the y pairs) also returns the anchor's lattice and drops it
+    reads = [[(by_column, blocks, len(keep))
+              for _, _, by_column, blocks, keep, _ in
+              stage_lattices(plan.dims, stage).reads]
+             for stage in plan.stages]
+    assert reads == [[(True, 5, 5), (False, 5, 4)],
+                     [(True, 8, 8), (False, 8, 7)],
+                     [(True, 7, 7), (False, 7, 6)]]
 
 
 class _FullGridSource:
@@ -294,8 +319,8 @@ class _FullGridSource:
 
 
 def test_run_frontend_refuses_a_read_that_returns_its_repeats():
-    # robust reads repeat rows: a grid with the repeats in it would be
-    # read with selectors built for the distinct grid, so it is refused
+    # robust reads repeat rows: a grid with the repeats in it does not
+    # split into the read's lattice blocks, so it is refused
     plan, _, truth = _frontend_case("robust")
     with pytest.raises(ShapeMismatch, match="distinct cells"):
         run_frontend(plan, _FullGridSource(synthesize_dense(truth)))

@@ -272,11 +272,9 @@ def test_robust_decode_shares_the_noiseless_trajectory():
         for run, plan in ((robust_decode, robust_plan), (decode, plain_plan)):
             events = []
             report = run(source, plan, trace=events.append)
-            cut = run(source, plan, max_rounds=1)
             runs.append(([(e["round"], e["stage"], e["bin"], e["location"])
                           for e in events], report.peel_iterations,
-                         report.bin_stats, cut.status,
-                         set(dict(cut.spectrum.items()))))
+                         report.bin_stats))
         assert runs[0] == runs[1], seed
 
 
