@@ -10,13 +10,18 @@ is a diff of two digests:
 
 The set covers the benchmark's three workload families (lsparse-280,
 vsparse-2520, robust-280), the plans of acceptance criterion 6 at their
-k, and the plans of criteria 2, 3 and 4 across their k. Each decode is
-one line: its family, k and instance seed, then status, rounds, first-pass
-bin statistics, charged and distinct samples, the number of entries,
-sha256s of the sorted support and of the values in support order (their
-reprs, so a one-bit change shows), and a sha256 of the front end's
-observation stacks (frontend.run_frontend on a fresh source from the same
-seeds: each stack's shape and bytes, stages and planes in order).
+k, the plans of criteria 2, 3 and 4 across their k, and repeat-60: a
+60x60 robust family read at five times the plan's noise, whose decodes
+end `not-a-singleton-loop` and where seed 311 peels one location four
+times, so the set reaches the summation of repeated peels. Each decode
+is one line: its family, k and instance seed, then status, rounds,
+first-pass bin statistics, charged and distinct samples, the number of
+entries, the number of peels beyond one per peeled location (from the
+trace), sha256s of the sorted support and of the values in support order
+(their reprs, so a one-bit change shows), and a sha256 of the front
+end's observation stacks (frontend.run_frontend on a fresh source from
+the same seeds: each stack's shape and bytes, stages and planes in
+order).
 
 It also digests lone-vector classifications: criterion 8's
 chains-vs-reliability setup (64x64, design seed 2, noise variance 0.5),
@@ -78,6 +83,10 @@ def _families():
     rows.append(("criterion-4",
                  build_plan(d2520, [81, 25, 49, 64], "very-sparse"),
                  range(70, 180, 10), range(400, 402), planted(), 0.0))
+    rows.append(("repeat-60",
+                 build_plan(Dims(60, 60), [16, 9, 25], "less-sparse",
+                            "robust", RobustParams(1, 3, 0.01, 3)),
+                 [12], range(300, 320), planted(sigma2=0.05), 0.0))
     return rows
 
 
@@ -103,8 +112,10 @@ def digest() -> list[dict]:
     for family, plan, ks, seeds, make, min_magnitude in _families():
         for k in ks:
             for seed in seeds:
+                peeled = []
                 report = decode(make(plan, k, seed), plan,
-                                min_magnitude=min_magnitude)
+                                min_magnitude=min_magnitude,
+                                trace=lambda e: peeled.append(e["location"]))
                 entries = sorted(report.spectrum.items())
                 records.append({
                     "family": family, "k": k, "seed": seed,
@@ -114,6 +125,7 @@ def digest() -> list[dict]:
                     "samples": report.samples_touched,
                     "distinct": report.distinct_cells,
                     "entries": len(entries),
+                    "repeats": len(peeled) - len(set(peeled)),
                     "support": _sha(repr([loc for loc, _ in entries])),
                     "values": _sha(repr([val for _, val in entries])),
                     "stacks": _stacks_sha(run_frontend(plan,

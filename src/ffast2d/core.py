@@ -100,6 +100,11 @@ class RobustParams:
     per bit level; noise_var is the per-sample complex noise variance; seed
     fixes the shift design. The slacks of the classifier's tests are fixed:
     GAMMA_ZERO and GAMMA_SINGLE.
+
+    chains_per_dim and reps act only through their product,
+    pairs_per_level: (1, 5) and (5, 1) build the same shifts and so give
+    the same decodes. Both fields stay because plan documents and the CLI
+    carry them.
     """
 
     chains_per_dim: int = 1

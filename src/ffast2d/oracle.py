@@ -46,9 +46,11 @@ class SignalSource:
     cols), the (rows, cols) product, and _points(aa, bb), the paired cells.
     The public readers take 1-D index arrays and bump access_count by the
     number of samples asked for. sample_grid hands _grid the distinct rows
-    and distinct columns, in first-seen order, and returns _grid's result
-    as it is: a read with repeats is charged them but returns each
-    distinct cell once.
+    and distinct columns, each in first-seen order (_first_seen), and
+    returns _grid's result as it is: a read with repeats is charged them
+    but returns each distinct cell once. No map from the requested
+    indices to the returned ones is kept; first-seen order alone places
+    a repeated index.
     """
 
     def __init__(self, dims: Dims):
@@ -71,8 +73,8 @@ class SignalSource:
         rows = _indices(rows, self.dims.nx, "sample_grid")
         cols = _indices(cols, self.dims.ny, "sample_grid")
         self.access_count += len(rows) * len(cols)
-        return self._grid(_first_seen(rows, self.dims.nx)[0],
-                          _first_seen(cols, self.dims.ny)[0])
+        return self._grid(_first_seen(rows, self.dims.nx),
+                          _first_seen(cols, self.dims.ny))
 
     def sample_points(self, aa, bb) -> np.ndarray:
         """Samples paired coordinates (aa[i], bb[i])."""
@@ -94,23 +96,21 @@ def _indices(idx, n: int, reader: str) -> np.ndarray:
     return idx % n
 
 
-def _first_seen(idx: np.ndarray, n: int):
-    """idx's distinct values in first-seen order, and where idx reads them.
+def _first_seen(idx: np.ndarray, n: int) -> np.ndarray:
+    """idx's distinct values in first-seen order.
 
-    The second item is None when idx has no repeats, which a mask over
-    range(n) tells without sorting. Otherwise one pass over idx finds each
-    value's first position, and only those distinct starts are sorted.
+    A mask over range(n) tells without sorting whether idx has repeats;
+    without any, idx itself is returned. Otherwise one pass over idx finds
+    each value's first position, and only those distinct starts are
+    sorted.
     """
     seen = np.zeros(n, dtype=bool)
     seen[idx] = True
     if np.count_nonzero(seen) == len(idx):
-        return idx, None
+        return idx
     first = np.full(n, len(idx), dtype=np.intp)
     np.minimum.at(first, idx, np.arange(len(idx)))
-    distinct = idx[np.sort(first[seen])]
-    rank = np.empty(n, dtype=np.intp)
-    rank[distinct] = np.arange(len(distinct))
-    return distinct, rank[idx]
+    return idx[np.sort(first[seen])]
 
 
 class ArraySource(SignalSource):

@@ -332,11 +332,13 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
 
     for group in range(len(groups)):
         classify_bins(group, slice(None))
-    # a bin's kind is 0, 1 or 2: nonzero + single
-    kinds = np.bincount(lay.stage3 + nonzero + single,
-                        minlength=3 * len(stages))
+    # a bin's kind is 0, 1 or 2: nonzero + single, added as ints, since
+    # two bool arrays add as a logical or
+    kinds = nonzero.astype(np.intp) + single
+    counts = (np.bincount(kinds[a:b], minlength=3).tolist()
+              for a, b in zip(offs, offs[1:]))
     bin_stats = [{KIND_ZERO_TON: z, KIND_SINGLETON: s, KIND_MULTI_TON: m}
-                 for z, m, s in kinds.reshape(-1, 3).tolist()]
+                 for z, m, s in counts]
     peels = []
     rounds = 0
     prev_live = float("inf")
@@ -385,9 +387,9 @@ class _PeelLayout:
     Stage s holds global bins offs[s] to offs[s + 1]. geometry has one
     column per bin: its stage's bins_x and bins_y, and the bin's (i, j).
     stage_off, stage_bx and stage_by are (stages, 1) columns, which place
-    a peel batch in every stage at once, and stage3 is three times each
-    bin's stage. A plane holds its lattice's first chain: layouts[s] holds
-    the (s1, s2) shifts of stage s's first chains as (planes, 1) columns.
+    a peel batch in every stage at once. A plane holds its lattice's first
+    chain: layouts[s] holds the (s1, s2) shifts of stage s's first chains
+    as (planes, 1) columns.
     """
 
     offs: list
@@ -395,7 +397,6 @@ class _PeelLayout:
     stage_off: np.ndarray
     stage_bx: np.ndarray
     stage_by: np.ndarray
-    stage3: np.ndarray
     layouts: list
 
 
@@ -412,30 +413,25 @@ def _peel_layout(dims: Dims, stages) -> _PeelLayout:
         _frozen(np.array(offs[:-1])[:, None]),
         _frozen([[st.bins_x] for st in stages]),
         _frozen([[st.bins_y] for st in stages]),
-        _frozen(3 * np.repeat(np.arange(len(stages)), counts)),
         [_frozen(np.array(lead).T[:, :, None]) for lead in leads])
 
 
 def _sum_peels(peels, dims: Dims, cut: float, unit: float):
-    """The peels summed per location, in peel order, above `cut`, divided
+    """The peels summed per location, in (u, v) order, above `cut`, divided
     by `unit`; and the number of peels.
 
-    Each sum starts from zero, so a location peeled once keeps its value
-    with any -0.0 part made +0.0. Keys are in-range ints and every kept
-    value is nonzero (cut >= 0), so the spectrum takes the dict as it
-    stands.
+    Each location's sum starts from zero and takes its peels in peel
+    order, so a location peeled once keeps its value with any -0.0 part
+    made +0.0. Keys are in-range ints and every kept value is nonzero
+    (cut >= 0), so the spectrum takes the dict as it stands.
     """
     if not peels:
         return {}, 0
     pu, pv, pval = (np.concatenate(part) for part in zip(*peels))
-    locs = pu * dims.ny + pv
-    if len(set(locs.tolist())) == locs.size:
-        sums = pval + 0j
-    else:
-        locs, inverse = np.unique(locs, return_inverse=True)
-        sums = np.empty(locs.size, dtype=np.complex128)
-        sums.real = np.bincount(inverse, pval.real, locs.size)
-        sums.imag = np.bincount(inverse, pval.imag, locs.size)
+    locs, inverse = np.unique(pu * dims.ny + pv, return_inverse=True)
+    sums = np.empty(locs.size, dtype=np.complex128)
+    sums.real = np.bincount(inverse, pval.real, locs.size)
+    sums.imag = np.bincount(inverse, pval.imag, locs.size)
     keep = np.abs(sums) > cut
     u, v = np.divmod(locs[keep], dims.ny)
     return (dict(zip(zip(u.tolist(), v.tolist()),

@@ -150,7 +150,6 @@ def robust_classifier(plan: FfastPlan, zero_thresh: float, unit: float):
     params, dims = plan.robust_params, plan.dims
     lattices = [stage_lattices(dims, s) for s in plan.stages]
     spreads = [float(lat.sizes @ lat.sizes) for lat in lattices]
-    positions = [np.arange(s.bin_count) for s in plan.stages]
     sigma2_obs = [params.noise_var / s.bin_count * unit * unit
                   for s in plan.stages]
 
@@ -163,7 +162,7 @@ def robust_classifier(plan: FfastPlan, zero_thresh: float, unit: float):
         live = np.flatnonzero(nonzero)
         if live.size:
             bx, by = stage.bins_x, stage.bins_y
-            i, j = np.divmod(positions[si][idx][live], by)
+            i, j = np.divmod(np.arange(stage.bin_count)[idx][live], by)
             ramp = (unit_roots(bx)[lat.dq[:, :1] * i % bx]
                     * unit_roots(by)[lat.dq[:, 1:] * j % by])
             single[live], uu[live], vv[live], vals[live] = _fit(

@@ -490,12 +490,9 @@ def _first_seen_unique_reference(idx, n):
     seen = np.zeros(n, dtype=bool)
     seen[idx] = True
     if np.count_nonzero(seen) == len(idx):
-        return idx, None
-    _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return idx[first[order]], rank[inverse]
+        return idx
+    _, first = np.unique(idx, return_index=True)
+    return idx[np.sort(first)]
 
 
 def _first_seen_cases():
@@ -512,13 +509,7 @@ def _first_seen_cases():
 
 @pytest.mark.parametrize("idx,n", _first_seen_cases())
 def test_first_seen_matches_unique_reference(idx, n):
-    got_vals, got_at = _first_seen(idx, n)
-    want_vals, want_at = _first_seen_unique_reference(idx, n)
-    assert np.array_equal(got_vals, want_vals)
-    assert got_vals.dtype == want_vals.dtype
-    if want_at is None:
-        assert got_at is None
-    else:
-        assert np.array_equal(got_at, want_at)
-        assert got_at.dtype == want_at.dtype
-        assert np.array_equal(got_vals[got_at], idx)
+    got = _first_seen(idx, n)
+    want = _first_seen_unique_reference(idx, n)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype

@@ -450,6 +450,22 @@ def test_zero_signal_decodes_to_empty():
     assert report.peel_iterations == 1
 
 
+def test_very_sparse_decode_of_a_billion_cell_grid():
+    # the paper's sub-linear regime: a 32736x32736 grid (1.07e9 cells,
+    # never materialized) decoded from 9,222 reads, 8.6e-6 of the grid
+    dims = Dims(32736, 32736)
+    plan = build_plan(dims, [961, 1024, 1089], "very-sparse")
+    inst = gen_instance(dims, 1707, seed=0)
+    report = decode(inst.source, plan)
+    assert report.status == STATUS_SUCCESS
+    got, want = dict(report.spectrum.items()), dict(inst.truth.items())
+    assert set(got) == set(want) and len(want) == 1707
+    assert all(abs(got[loc] - want[loc]) <= 1e-6 for loc in want)
+    assert report.samples_touched == 9222
+    assert report.distinct_cells == 9216
+    assert report.peel_iterations == 4
+
+
 @pytest.mark.parametrize("k", [1, 5, 12, 20])
 def test_monte_carlo_exact_recovery_30x30(k):
     # less-sparse plan with ~120 bins per stage on average; k far below

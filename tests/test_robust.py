@@ -369,6 +369,22 @@ def _criterion_8_setup():
     return plan, Constellation(rho, 2, 8), np.sqrt(rho) / 4
 
 
+def test_robust_very_sparse_decode_reads_a_sliver_of_the_grid():
+    # a 2288x2288 robust decode at 13 dB: 145 chains per stage charge
+    # 79,170 reads, yet only 63,740 distinct cells, 1.2% of the grid
+    dims = Dims(2288, 2288)
+    params = RobustParams(chains_per_dim=1, reps=3, noise_var=1.0, seed=1)
+    plan = build_plan(dims, [121, 169, 256], "very-sparse", mode="robust",
+                      robust_params=params)
+    rho = 10 ** 1.3 / Constellation(1.0, 2, 8).mean_power()
+    inst = gen_instance(dims, 303, Constellation(rho, 2, 8), seed=0)
+    report = robust_decode(NoisySource(inst.source, 1.0, seed=100), plan,
+                           min_magnitude=np.sqrt(rho) / 4)
+    assert set(dict(report.spectrum.items())) == set(inst.truth.entries)
+    assert report.samples_touched == 79170
+    assert report.distinct_cells == 63740
+
+
 def test_robust_decode_pure_noise_is_quiet():
     # 181 chains per stage sit on 9, 15 and 13 lattices; a zero-ton test
     # that counted them as independent flagged about 6.5% of these bins
