@@ -40,15 +40,24 @@ class PlanError(FfastError, ValueError):
     names the rule it breaks."""
 
 
+def _index(value, what: str) -> int:
+    """value read as an integer (operator.index), so 4.5 and 30.0 are
+    refused with a PlanError naming them rather than cast."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PlanError("%s is not an integer: %r" % (what, value)) from None
+
+
 @dataclass(frozen=True)
 class Dims:
-    """Grid extents. n is the total number of samples."""
+    """Grid extents, integers (_index). n is the total number of samples."""
 
     nx: int
     ny: int
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
+        if _index(self.nx, "nx") < 1 or _index(self.ny, "ny") < 1:
             raise PlanError("dims must be positive, got (%r, %r)" % (self.nx, self.ny))
 
     @property
@@ -70,8 +79,8 @@ class Constellation:
     m2: int
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and positive")
         if self.m1 < 1 or self.m2 < 1:
             raise ValueError("m1 and m2 must be positive integers")
 
@@ -400,7 +409,7 @@ def build_plan(dims: Dims, factors, regime: str = REGIME_LESS_SPARSE,
     regime its bin count is factors[i]. A stage must actually subsample
     every dimension of size > 1, otherwise the split is rejected.
     """
-    factors = [int(f) for f in factors]
+    factors = [_index(f, "a factor") for f in factors]
     if len(factors) < 2:
         raise PlanError("need at least 2 factors, got %r" % (factors,))
     _check_factors(factors, dims.n)

@@ -14,28 +14,31 @@ lattice's first chain times a phase ramp (StageLattices). Noiseless
 chains always sit on distinct lattices; the robust design's 181 chains
 per stage sit on 9 to 15.
 
-A stage is gathered in a few grid reads, not one per chain. Chains that
-share a column offset read their row lattices back to back against that
-one column lattice; the chains left alone are grouped by row offset.
-Both the noiseless layout [(0,0), (1,0), (0,1)] and the robust dyadic
-layout, whose offsets all lie on one axis, take two reads per stage.
-A read charges every chain's cells, so sample accounting counts chains,
-but it returns each distinct cell once: the grid of the read's distinct
-rows by its distinct columns, in first-seen order.
+A stage is gathered in a few grid reads, not one per chain or lattice,
+and each lattice joins exactly one of them, chosen by its first chain
+(its lead). Lattices whose leads share a column offset read their row
+lattices back to back against that one column lattice; the lattices left
+alone are grouped by their leads' row offset. Both the noiseless layout
+[(0,0), (1,0), (0,1)] and the robust dyadic layout, whose offsets all lie
+on one axis, take two reads per stage. A read charges every chain's
+cells: a chain reads the cells of its lattice, so the read repeats its
+lead's rows (or columns) once per chain on the lattice, and sample
+accounting counts chains. But it returns each distinct cell once: the
+grid of the read's distinct rows by its distinct columns, in first-seen
+order.
 
-A read's chains share one offset on one axis, so the grid comes back in
-lattice blocks. Chains on one lattice read the same rows (or columns),
-rotated, and distinct lattices read disjoint ones, so the grid is one
-(bins_x, bins_y) block per lattice of the read, in the order of and as
-read by each lattice's first chain in the read. That chain is the
-lattice's first chain whenever the read holds it, and only those blocks
-fill planes, in one gather per read. A read that returns any other shape
-is refused. The (lattices, bins_x, bins_y) stack then takes one batched
+A read's leads share one offset on one axis, and distinct lattices read
+disjoint rows (or columns), so the grid comes back as one (bins_x,
+bins_y) block per lattice of the read, in the read's lattice order and
+as read by each lead: each block is its lattice's plane and fills it
+straight from the reshaped grid. A read that returns any other shape is
+refused. The (lattices, bins_x, bins_y) stack then takes one batched
 FFT, in place.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,13 +79,11 @@ class StageLattices:
     on lattice g and lead[g] is the shift of its first chain; shifts is the
     stage's (chains, 2) shift array.
 
-    Each entry of reads is one grid read, (rows, cols, by_column, blocks,
-    keep, planes): the read's arguments; whether its chains share a
+    Each entry of reads is one grid read, (rows, cols, by_column,
+    planes): the read's arguments; whether its lattices' leads share a
     column offset, so that its lattices come back stacked along the rows,
-    or a row offset, stacked along the columns; the number of lattice
-    blocks it returns, in the order of each lattice's first chain in the
-    read; the blocks whose chain there is their lattice's first chain;
-    and the planes those blocks fill.
+    or a row offset, stacked along the columns; and its lattices, in the
+    order their blocks come back. Every lattice is in exactly one read.
     """
 
     inv: np.ndarray
@@ -103,50 +104,49 @@ def _frozen(a) -> np.ndarray:
 def stage_lattices(dims: Dims, stage: StageConfig) -> StageLattices:
     """The stage's lattice table; built once per stage and shared, read-only.
 
-    Reads follow the chains: chains with a common column offset read their
-    row lattices back to back against that column lattice, and the chains
-    left alone are grouped by row offset. Both the noiseless layout and
-    the robust dyadic layout, whose offsets all lie on one axis, take two
-    reads per stage.
+    Reads follow the lattices' leads: lattices whose leads share a column
+    offset read their row lattices back to back against that column
+    lattice, and the lattices left alone are grouped by row offset. A read
+    charges each chain by repeating its lead's rows (or columns) once per
+    chain on the lattice. Both the noiseless layout and the robust dyadic
+    layout, whose offsets all lie on one axis, take two reads per stage.
     """
     sx, sy, bx, by = stage.sub_x, stage.sub_y, stage.bins_x, stage.bins_y
     ids: dict = {}
     lead: list = []
-    inv, dq, first = [], [], []
+    inv, dq = [], []
     for s1, s2 in stage.shifts:
         g = ids.setdefault((s1 % sx, s2 % sy), len(ids))
-        first.append(g == len(lead))
-        if first[-1]:
+        if g == len(lead):
             lead.append((s1, s2))
         t1, t2 = lead[g]
         inv.append(g)
         dq.append((((s1 - t1) // sx) % bx, ((s2 - t2) // sy) % by))
-    inv, first = np.asarray(inv, dtype=np.int64), np.asarray(first)
+    sizes = np.bincount(inv)
 
-    by_col: dict[int, list[int]] = {}
-    for c, (_, s2) in enumerate(stage.shifts):
-        by_col.setdefault(s2, []).append(c)
-    groups = [(True, cs) for cs in by_col.values() if len(cs) > 1]
-    by_row: dict[int, list[int]] = {}
-    for cs in by_col.values():
-        if len(cs) == 1:
-            by_row.setdefault(stage.shifts[cs[0]][0], []).append(cs[0])
-    groups += [(False, cs) for cs in by_row.values()]
+    # a lattice is read with the lattices whose leads share its lead's
+    # column offset, stacked along the rows (axis 0); a lattice alone in
+    # its column is read with those sharing its row offset (axis 1)
+    column_leads = Counter(s2 for _, s2 in lead)
+    groups: dict = {}
+    for g, (s1, s2) in enumerate(lead):
+        axis = int(column_leads[s2] == 1)
+        groups.setdefault((axis, s1 if axis else s2), []).append(g)
 
-    shifts = _frozen(stage.shifts).reshape(-1, 2)
-    rows = (shifts[:, :1] + sx * np.arange(bx)) % dims.nx
-    cols = (shifts[:, 1:] + sy * np.arange(by)) % dims.ny
+    heads = np.asarray(lead, dtype=np.int64).reshape(-1, 2)
+    runs = ((heads[:, :1] + sx * np.arange(bx)) % dims.nx,
+            (heads[:, 1:] + sy * np.arange(by)) % dims.ny)
     reads = []
-    for by_column, cs in groups:
-        read = ((rows[cs].ravel(), cols[cs[0]]) if by_column
-                else (rows[cs[0]], cols[cs].ravel()))
-        blocks = list(dict.fromkeys(inv[cs].tolist()))
-        planes = inv[cs][first[cs]]
-        keep = [blocks.index(g) for g in planes.tolist()]
-        reads.append((_frozen(read[0]), _frozen(read[1]), by_column,
-                      len(blocks), _frozen(keep), _frozen(planes)))
-    return StageLattices(_frozen(inv), _frozen(dq), _frozen(np.bincount(inv)),
-                         tuple(lead), shifts, tuple(reads))
+    # the by-column reads first; a stable sort keeps first-seen order
+    for (axis, _), gs in sorted(groups.items(), key=lambda kv: kv[0][0]):
+        read = [runs[0][gs[0]], runs[1][gs[0]]]
+        # each chain is charged by reading its lattice's lead once more
+        read[axis] = np.repeat(runs[axis][gs], sizes[gs], axis=0).ravel()
+        reads.append((_frozen(read[0]), _frozen(read[1]), axis == 0,
+                      _frozen(gs)))
+    return StageLattices(_frozen(inv), _frozen(dq), _frozen(sizes),
+                         tuple(lead), _frozen(stage.shifts).reshape(-1, 2),
+                         tuple(reads))
 
 
 @lru_cache(maxsize=16)
@@ -175,15 +175,16 @@ def stage_observations(source, dims: Dims, stage: StageConfig) -> np.ndarray:
     lat = stage_lattices(dims, stage)
     bx, by = stage.bins_x, stage.bins_y
     out = np.empty((len(lat.lead), bx, by), dtype=np.complex128)
-    for rows, cols, by_column, blocks, keep, planes in lat.reads:
+    for rows, cols, by_column, planes in lat.reads:
         grid = source.sample_grid(rows, cols)
+        blocks = len(planes)
         shape = (blocks * bx, by) if by_column else (bx, blocks * by)
         if grid.shape != shape:
             raise ShapeMismatch("a read of %d rows by %d columns returned "
                                 "shape %r, not its distinct cells %r"
                                 % (len(rows), len(cols), grid.shape, shape))
         out[planes] = (grid.reshape(blocks, bx, by) if by_column else
-                       grid.reshape(bx, blocks, by).transpose(1, 0, 2))[keep]
+                       grid.reshape(bx, blocks, by).transpose(1, 0, 2))
     # a NaN or infinite sample spreads to its whole plane, and a plane of
     # finite samples near the float maximum can overflow: one check after
     # the FFT refuses both

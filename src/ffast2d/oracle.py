@@ -88,12 +88,13 @@ class SignalSource:
 
 def _indices(idx, n: int, reader: str) -> np.ndarray:
     """idx as 1-D int64 reduced modulo n; a reader charges len(idx) per
-    axis, so any other shape is refused."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("%s takes 1-D index arrays, not shape %r"
-                         % (reader, idx.shape))
-    return idx % n
+    axis, so any other shape is refused, and so is a non-empty idx of
+    other than integer dtype, such as 1.7 or "1", rather than cast."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (len(idx) and idx.dtype.kind not in "iu"):
+        raise ValueError("%s takes 1-D integer index arrays, not %s of "
+                         "shape %r" % (reader, idx.dtype, idx.shape))
+    return idx.astype(np.int64, copy=False) % n
 
 
 def _first_seen(idx: np.ndarray, n: int) -> np.ndarray:

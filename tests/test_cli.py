@@ -126,6 +126,19 @@ def test_gen_refuses_huge_dense_output(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_gen_refuses_a_constellation_rho_that_is_not_finite(tmp_path, capsys,
+                                                           rho):
+    # such a rho would write NaN values that decode --truth then refuses
+    truth = tmp_path / "t.csv"
+    code = main(["gen", "--nx", "8", "--ny", "8", "--k", "3",
+                 "--value-model", "constellation", "--rho", rho,
+                 "--out-truth", str(truth)])
+    assert code == 1
+    assert "rho" in capsys.readouterr().err
+    assert not truth.exists()
+
+
 def test_gen_decode_round_trip_worked_example(tmp_path):
     truth_path = str(tmp_path / "truth.csv")
     assert main(["gen", "--nx", "6", "--ny", "6",

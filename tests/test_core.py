@@ -22,6 +22,28 @@ def test_dims_rejects_nonpositive(nx, ny):
         Dims(nx, ny)
 
 
+@pytest.mark.parametrize("nx,ny", [(30.0, 30.0), (30, 1.5), ("30", 30)])
+def test_dims_refuse_values_that_are_not_integers(nx, ny):
+    # read through operator.index, not cast: 30.0 is refused like 1.5
+    with pytest.raises(PlanError, match="is not an integer"):
+        Dims(nx, ny)
+    assert Dims(np.int64(30), np.int32(30)) == Dims(30, 30)
+
+
+def test_build_plan_refuses_a_factor_that_is_not_an_integer():
+    # int() would have built the [4, 9, 25] plan from 4.5
+    with pytest.raises(PlanError, match=r"a factor is not an integer: 4\.5"):
+        build_plan(Dims(30, 30), [4.5, 9, 25])
+    assert (build_plan(Dims(30, 30), np.array([4, 9, 25])).stages
+            == build_plan(Dims(30, 30), [4, 9, 25]).stages)
+
+
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), -float("inf")])
+def test_constellation_refuses_a_rho_that_is_not_finite_and_positive(rho):
+    with pytest.raises(ValueError, match="rho"):
+        Constellation(rho, 2, 8)
+
+
 def test_constellation_levels():
     c = Constellation(rho=4.0, m1=2, m2=4)
     # sqrt(rho) = 2: magnitudes 1, 2, 3

@@ -224,7 +224,7 @@ def test_stage_observations_match_alias_oracle_chain_by_chain(kind):
                                                [(0, 0), (0, 1), (2, 1)])]
         reads = stage_lattices(dims, stages[0]).reads
         assert [(by_column, planes.tolist())
-                for _, _, by_column, _, _, planes in reads] == [
+                for _, _, by_column, planes in reads] == [
             (True, [1, 2]), (False, [0])]
         anchor = stage_observations(src, dims, stages[0])[0]
         want = alias_sum_oracle(truth, stages[0], (0, 0))
@@ -252,7 +252,8 @@ def test_stage_observations_match_alias_oracle_chain_by_chain(kind):
 
 
 class _CountingSource:
-    """Delegates reads to a source and counts its sample_grid calls.
+    """Delegates reads to a source, counts its sample_grid calls and sums
+    the cells they return.
 
     Like a benchmark's timing wrapper it has only dims, access_count and
     the two readers, and passes every returned array through untouched.
@@ -262,6 +263,7 @@ class _CountingSource:
         self.inner = inner
         self.dims = inner.dims
         self.grid_calls = 0
+        self.returned = 0
 
     @property
     def access_count(self):
@@ -269,7 +271,9 @@ class _CountingSource:
 
     def sample_grid(self, rows, cols):
         self.grid_calls += 1
-        return self.inner.sample_grid(rows, cols)
+        grid = self.inner.sample_grid(rows, cols)
+        self.returned += grid.size
+        return grid
 
     def sample_points(self, aa, bb):
         return self.inner.sample_points(aa, bb)
@@ -288,16 +292,30 @@ def test_run_frontend_reads_two_grids_per_stage():
     # 181 chains per stage on 9, 15 and 13 distinct lattices
     assert [len(s.shifts) for s in plan.stages] == [181] * 3
     assert [len(s) for s in stacks] == [9, 15, 13]
-    # each read returns one block per lattice it covers: the by-column
-    # read (the anchor and the x pairs) keeps all of them, and the by-row
-    # read (the y pairs) also returns the anchor's lattice and drops it
-    reads = [[(by_column, blocks, len(keep))
-              for _, _, by_column, blocks, keep, _ in
+    # each lattice is in one read: the by-column read (the anchor and the
+    # x pairs) and the by-row read (the y pairs) split the lattices
+    reads = [[(by_column, len(planes))
+              for _, _, by_column, planes in
               stage_lattices(plan.dims, stage).reads]
              for stage in plan.stages]
-    assert reads == [[(True, 5, 5), (False, 5, 4)],
-                     [(True, 8, 8), (False, 8, 7)],
-                     [(True, 7, 7), (False, 7, 6)]]
+    assert reads == [[(True, 5), (False, 4)],
+                     [(True, 8), (False, 7)],
+                     [(True, 7), (False, 6)]]
+
+
+def test_robust_decode_reads_each_lattice_once():
+    # criterion 8's plan and its first instance: a decode charges every
+    # chain, but each lattice's cells come back once, one plane each
+    plan = _criterion_8_plan()
+    rho = 10 ** 1.3 / Constellation(1.0, 2, 8).mean_power()
+    inst = gen_instance(plan.dims, 50, Constellation(rho, 2, 8), seed=900)
+    counter = _CountingSource(NoisySource(inst.source, 1.0, seed=0))
+    report = robust_decode(counter, plan, min_magnitude=np.sqrt(rho) / 4)
+    assert counter.returned == 67_399 == sum(
+        len(stage_lattices(plan.dims, s).lead) * s.bin_count
+        for s in plan.stages)
+    assert report.samples_touched == 1_078_941
+    assert report.distinct_cells == 50_176
 
 
 class _FullGridSource:

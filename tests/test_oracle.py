@@ -251,6 +251,37 @@ def test_readers_refuse_indices_that_are_not_1d(make, reader, a, b):
     assert src.access_count == 0
 
 
+NOT_INTEGER_READS = [
+    ("sample_grid", [0.5, 1.7], [0]),
+    ("sample_grid", ["1"], [0]),
+    ("sample_grid", [1], np.array([0.0])),
+    ("sample_points", [2.9], [3.2]),
+    ("sample_points", [True], [1]),
+]
+
+
+@pytest.mark.parametrize("reader,a,b", NOT_INTEGER_READS)
+def test_readers_refuse_indices_that_are_not_integers(reader, a, b):
+    # a fraction, a string or a bool is refused, not cast to a cell
+    src = ArraySource(np.arange(16.).reshape(4, 4))
+    with pytest.raises(ValueError, match="integer index arrays"):
+        getattr(src, reader)(a, b)
+    assert src.access_count == 0
+
+
+def test_readers_take_integer_lists_and_arrays_and_empty_lists():
+    x = np.arange(16.).reshape(4, 4)
+    src = ArraySource(x)
+    for rows in ([1, 3], np.array([1, 3], dtype=np.int32),
+                 np.array([1, 3], dtype=np.uint8)):
+        assert np.array_equal(src.sample_grid(rows, [0, 2]),
+                              x[np.ix_([1, 3], [0, 2])])
+        assert np.array_equal(src.sample_points(rows, [2, 2]), x[[1, 3], 2])
+    assert src.sample_grid([], [0]).shape == (0, 1)
+    assert src.sample_points([], []).shape == (0,)
+    assert src.access_count == 3 * (4 + 2)
+
+
 def test_base_source_has_no_read_of_its_own():
     # a source implements the two hooks; the base class has no fallback
     src = SignalSource(Dims(2, 3))
