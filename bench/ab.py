@@ -26,6 +26,7 @@ import argparse
 import gc
 import statistics
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +36,27 @@ WORKLOADS = ["lsparse-280", "vsparse-2520", "robust-280"]
 
 def _ours(name: str) -> bool:
     return name in ("ffast2d", "workloads") or name.startswith("ffast2d.")
+
+
+@contextmanager
+def fresh_tree(src: Path, *extra: Path):
+    """Within the block, imports load src's ffast2d package afresh (and
+    the modules on the extra paths); yields a dict that, once the block
+    ends, holds the modules it loaded, by name."""
+    for name in [name for name in sys.modules if _ours(name)]:
+        del sys.modules[name]
+    paths = [str(src)] + [str(path) for path in extra]
+    sys.path[:0] = paths
+    modules = {}
+    try:
+        import ffast2d
+        if Path(ffast2d.__file__).resolve().parent != src / "ffast2d":
+            sys.exit("ab: imported ffast2d from %s, not %s"
+                     % (ffast2d.__file__, src))
+        yield modules
+    finally:
+        del sys.path[:len(paths)]
+    modules.update((n, m) for n, m in sys.modules.items() if _ours(n))
 
 
 class Tree:
@@ -47,22 +69,12 @@ class Tree:
     """
 
     def __init__(self, label: str, src: Path, workload: str, seed: int):
-        for name in [name for name in sys.modules if _ours(name)]:
-            del sys.modules[name]
-        sys.path[:0] = [str(src), str(PERFBENCH)]
-        try:
-            import ffast2d
+        with fresh_tree(src, PERFBENCH) as self.modules:
             import workloads
-            if Path(ffast2d.__file__).resolve().parent != src / "ffast2d":
-                sys.exit("ab: imported ffast2d from %s, not %s"
-                         % (ffast2d.__file__, src))
             self.wl = workloads.make_workloads(src)[workload]
             # the set-up's work directory is used only by the CLI probe
             self.state = self.wl.setup(seed, None)
             self.wl.op(self.state, 0)             # warm-up, not counted
-        finally:
-            del sys.path[:2]
-        self.modules = {n: m for n, m in sys.modules.items() if _ours(n)}
         self.label = label
         self.means: list[float] = []
         self.correct = self.failed = self.won = 0

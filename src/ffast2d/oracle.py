@@ -89,11 +89,15 @@ class SignalSource:
 def _indices(idx, n: int, reader: str) -> np.ndarray:
     """idx as 1-D int64 reduced modulo n; a reader charges len(idx) per
     axis, so any other shape is refused, and so is a non-empty idx of
-    other than integer dtype, such as 1.7 or "1", rather than cast."""
+    other than integer dtype, such as 1.7 or "1", rather than cast.
+    An unsigned idx is reduced while still unsigned, as a cast of 2^63
+    or more to int64 would wrap to a negative index."""
     idx = np.asarray(idx)
     if idx.ndim != 1 or (len(idx) and idx.dtype.kind not in "iu"):
         raise ValueError("%s takes 1-D integer index arrays, not %s of "
                          "shape %r" % (reader, idx.dtype, idx.shape))
+    if idx.dtype.kind == "u":
+        idx = idx % np.uint64(n)
     return idx.astype(np.int64, copy=False) % n
 
 

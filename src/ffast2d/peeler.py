@@ -10,7 +10,11 @@ else: first-pass bin statistics, rounds over the stages in order, the
 check that a recovered location aliases back into the bin it came from,
 subtraction of the peels from their bins in every plane of every stage
 (with the weight of the plane's first chain), the live-bin churn check
-and the status rules.
+and the status rules. One table of the plan's layout (_PeelLayout)
+gives the bin of a location in every stage; it both places the peels
+and checks the singletons' bins. decode scans the anchor planes once,
+for the largest anchor, and derives both the unit scale and the zero
+floor from it.
 
 The noiseless classifier is the ratio test. Noiseless chains sit on
 distinct lattices, so a bin's observation vector y has one entry per
@@ -139,14 +143,6 @@ def _anchor_peak(stacks) -> float:
     """The largest anchor magnitude over all stages, 0 if none."""
     return max((float(np.abs(stack[0]).max()) for stack in stacks
                 if stack.size), default=0.0)
-
-
-def _unit_scale(stacks) -> float:
-    """The power of two that brings the largest anchor into [0.5, 1).
-
-    1 for all-zero stacks; at most 2^1023, the largest a float holds.
-    """
-    return math.ldexp(1.0, min(-math.frexp(_anchor_peak(stacks))[1], 1023))
 
 
 def ratio_estimates(values, dims: Dims) -> tuple[float, float]:
@@ -279,9 +275,9 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     (frontend.stage_lattices). classify(si, idx, cols) takes (planes, m)
     observation columns, one column per bin, and returns
     (nonzero, singleton, u, v, value) arrays of length m, with singleton a
-    subset of nonzero. cols = stack[:, idx] of stage si, with idx a
-    slice(None) on the first pass and an array of flat bin positions
-    after it. On a noiseless plan, whose stages share one plane layout
+    subset of nonzero, u in [0, nx) and v in [0, ny). cols =
+    stack[:, idx] of stage si, with idx a slice(None) on the first pass
+    and an array of flat bin positions after it. On a noiseless plan, whose stages share one plane layout
     and whose classifier reads nothing but cols, it is called once per
     step on the columns of all stages side by side, with si None and idx
     positions in that joint array. The stacks hold the signal times
@@ -293,7 +289,8 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     stages = plan.stages
     ex, ey = unit_roots(dims.nx), unit_roots(dims.ny)
     lay = _peel_layout(dims, stages)
-    offs, total, geometry = lay.offs, lay.offs[-1], lay.geometry
+    offs, total = lay.offs, lay.offs[-1]
+    row_bin, col_bin, stage_of = lay.row_bin, lay.col_bin, lay.stage_of
     flats = [stack.reshape(stack.shape[0], -1) for stack in stacks]
     # a group is (si, base, columns, its stages' rows of a batch, layout)
     if plan.mode == MODE_NOISELESS:
@@ -311,18 +308,18 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
 
     def classify_bins(group, idx):
         si, base, col, _, _ = groups[group]
-        at = (slice(base, base + col.shape[1]) if isinstance(idx, slice)
+        at = (np.arange(base, base + col.shape[1]) if isinstance(idx, slice)
               else idx + base)
         nz, sg, u, v, val = classify(si, idx, col[:, idx])
-        bx, by, i, j = geometry[:, at]
+        st = stage_of[at]
         nonzero[at] = nz
-        single[at] = sg & (u % bx == i) & (v % by == j)
+        # a singleton stands only if its location aliases into its own bin
+        single[at] = sg & (row_bin[st, u] + col_bin[st, v] == at)
         uu[at], vv[at], vals[at] = u, v, val
 
     def subtract(pu, pv, pval):
         # the batch's bin in every stage, one row per stage
-        at = (lay.stage_off + pu % lay.stage_bx * lay.stage_by
-              + pv % lay.stage_by)
+        at = row_bin[:, pu] + col_bin[:, pv]
         for group, (_, base, col, rows, (s1, s2)) in enumerate(groups):
             pos = at[rows] - base
             w = pval * ex[s1 * pu % dims.nx] * ey[s2 * pv % dims.ny]
@@ -335,8 +332,8 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     # a bin's kind is 0, 1 or 2: nonzero + single, added as ints, since
     # two bool arrays add as a logical or
     kinds = nonzero.astype(np.intp) + single
-    counts = (np.bincount(kinds[a:b], minlength=3).tolist()
-              for a, b in zip(offs, offs[1:]))
+    counts = np.bincount(3 * stage_of + kinds,
+                         minlength=3 * len(stages)).reshape(-1, 3).tolist()
     bin_stats = [{KIND_ZERO_TON: z, KIND_SINGLETON: s, KIND_MULTI_TON: m}
                  for z, m, s in counts]
     peels = []
@@ -384,19 +381,21 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
 class _PeelLayout:
     """A plan's bins in one global index, built once per plan, read-only.
 
-    Stage s holds global bins offs[s] to offs[s + 1]. geometry has one
-    column per bin: its stage's bins_x and bins_y, and the bin's (i, j).
-    stage_off, stage_bx and stage_by are (stages, 1) columns, which place
-    a peel batch in every stage at once. A plane holds its lattice's first
-    chain: layouts[s] holds the (s1, s2) shifts of stage s's first chains
-    as (planes, 1) columns.
+    Stage s holds global bins offs[s] to offs[s + 1], and stage_of names
+    each global bin's stage. One table answers where a location (u, v)
+    lands: its global bin in stage s is row_bin[s, u] + col_bin[s, v],
+    with row_bin[s, u] = offs[s] + (u mod bins_x) * bins_y and
+    col_bin[s, v] = v mod bins_y. It places a peel batch in every stage
+    at once, and it checks that a singleton's location aliases back into
+    the bin it came from. A plane holds its lattice's first chain:
+    layouts[s] holds the (s1, s2) shifts of stage s's first chains as
+    (planes, 1) columns.
     """
 
     offs: list
-    geometry: np.ndarray
-    stage_off: np.ndarray
-    stage_bx: np.ndarray
-    stage_by: np.ndarray
+    row_bin: np.ndarray
+    col_bin: np.ndarray
+    stage_of: np.ndarray
     layouts: list
 
 
@@ -404,15 +403,13 @@ class _PeelLayout:
 def _peel_layout(dims: Dims, stages) -> _PeelLayout:
     counts = [st.bin_count for st in stages]
     offs = np.cumsum([0] + counts).tolist()
-    shape = np.repeat([[st.bins_x, st.bins_y] for st in stages], counts,
-                      axis=0).T
-    local = np.arange(offs[-1]) - np.repeat(offs[:-1], counts)
     leads = [stage_lattices(dims, st).lead for st in stages]
     return _PeelLayout(
-        offs, _frozen(np.concatenate([shape, np.divmod(local, shape[1])])),
-        _frozen(np.array(offs[:-1])[:, None]),
-        _frozen([[st.bins_x] for st in stages]),
-        _frozen([[st.bins_y] for st in stages]),
+        offs,
+        _frozen([off + np.arange(dims.nx) % st.bins_x * st.bins_y
+                 for off, st in zip(offs, stages)]),
+        _frozen([np.arange(dims.ny) % st.bins_y for st in stages]),
+        _frozen(np.repeat(np.arange(len(stages)), counts)),
         [_frozen(np.array(lead).T[:, :, None]) for lead in leads])
 
 
@@ -460,10 +457,14 @@ def decode(source, plan: FfastPlan, *, min_magnitude: float = 0.0,
     before = source.access_count
     stacks = run_frontend(plan, source)
     touched = source.access_count - before
-    unit = _unit_scale(stacks)
+    # the power of two that brings the largest anchor into [0.5, 1): 1 for
+    # all-zero stacks, at most 2^1023, the largest a float holds; scaling
+    # by it is exact, so the floor scales with the anchors
+    peak = _anchor_peak(stacks)
+    unit = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
     for stack in stacks:
         stack *= unit
-    zero_thresh = observation_zero_threshold(stacks)
+    zero_thresh = 1e-9 * peak * unit
     if plan.mode == MODE_NOISELESS:
         def classify(si, idx, cols):
             if isinstance(idx, slice):

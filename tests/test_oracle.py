@@ -282,6 +282,22 @@ def test_readers_take_integer_lists_and_arrays_and_empty_lists():
     assert src.access_count == 3 * (4 + 2)
 
 
+def test_sample_grid_reduces_unsigned_rows_above_2_63_modulo_n():
+    # (2^63 + 1) mod 6 is 3; a cast to int64 first wraps it to row 5
+    x = np.arange(36.).reshape(6, 6)
+    src = ArraySource(x)
+    rows = np.array([2 ** 63 + 1], dtype=np.uint64)
+    assert np.array_equal(src.sample_grid(rows, [0]), x[[3]][:, [0]])
+
+
+def test_sample_points_reduces_unsigned_rows_above_2_63_modulo_n():
+    # (2^64 - 1) mod 6 is 3; a cast to int64 first wraps it to -1, row 5
+    x = np.arange(36.).reshape(6, 6)
+    src = ArraySource(x)
+    rows = np.array([2 ** 64 - 1], dtype=np.uint64)
+    assert np.array_equal(src.sample_points(rows, [1]), x[[3], [1]])
+
+
 def test_base_source_has_no_read_of_its_own():
     # a source implements the two hooks; the base class has no fallback
     src = SignalSource(Dims(2, 3))

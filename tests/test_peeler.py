@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ffast2d import peeler
-from ffast2d.core import (Dims, SparseSpectrum, build_plan, noiseless_shifts,
-                          plan_sample_budget, STATUS_SUCCESS)
+from ffast2d.core import (Dims, RobustParams, SparseSpectrum, build_plan,
+                          noiseless_shifts, plan_sample_budget, STATUS_SUCCESS)
 from ffast2d.frontend import BinObservation, NonFiniteSample
-from ffast2d.oracle import (ArraySource, ExponentialSumSource, gen_instance,
-                            synthesize_dense)
+from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
+                            gen_instance, synthesize_dense)
 from ffast2d.peeler import (BinClass, DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL,
                             KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
                             decode, observation_zero_threshold,
@@ -387,6 +387,35 @@ def test_sum_peels_matches_a_dict_sum_in_peel_order(repeat):
     assert got == {key: val for key, val in want.items() if abs(val) > 1e-9}
     assert math.copysign(1.0, got[(2, 4)].real) == 1.0
     assert peeler._sum_peels([], dims, 0.0, 1.0) == ({}, 0)
+
+
+@pytest.mark.parametrize("mode", ["noiseless", "robust"])
+def test_peel_refuses_a_singleton_located_in_another_bin(monkeypatch, mode):
+    # the classifier moves every singleton's location one row over, so it
+    # lies in another bin of its stage (every stage has bins_x > 1); the
+    # engine must peel none of them, and the decode must not succeed
+    dims = Dims(60, 60)
+    params = RobustParams(chains_per_dim=1, reps=3, noise_var=0.01, seed=5)
+    plan = build_plan(dims, [16, 9, 25], "very-sparse", mode=mode,
+                      robust_params=params if mode == "robust" else None)
+    assert all(stage.bins_x > 1 for stage in plan.stages)
+    source = gen_instance(dims, 8, seed=2).source
+    if mode == "robust":
+        source = NoisySource(source, 0.01, seed=52)
+    peel = peeler.peel_stacks
+
+    def misplacing_peel(stacks, plan, classify, *args, **kwargs):
+        def misplacing_classify(si, idx, cols):
+            nonzero, single, uu, vv, vals = classify(si, idx, cols)
+            return nonzero, single, (uu + 1) % dims.nx, vv, vals
+        return peel(stacks, plan, misplacing_classify, *args, **kwargs)
+
+    monkeypatch.setattr(peeler, "peel_stacks", misplacing_peel)
+    events = []
+    report = decode(source, plan, trace=events.append)
+    assert events == []
+    assert len(report.spectrum) == 0
+    assert report.status != STATUS_SUCCESS
 
 
 def _worked_plan_and_source():
