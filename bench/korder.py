@@ -7,11 +7,10 @@ seed=700). One run of it is at the mercy of a host spike, and a whole
 process's timing moves with its page faults and heap layout, so this
 script loads both trees' packages into one process (as bench/ab.py
 does), runs that call on each tree per repeat, alternating which tree
-goes first, and does so in several fresh processes, one at a time:
+goes first, and does so in PROCESSES fresh processes of REPEATS repeats
+each, one process at a time:
 
   python3 bench/korder.py --parent ../parent/src
-  python3 bench/korder.py --parent ../parent/src --change src \\
-      --processes 3 --repeats 10
 
 For each tree it prints the repeats in which t(100) < t(200) < t(300)
 held, the median t(100)/t(200) and t(200)/t(300) ratios over all
@@ -30,6 +29,8 @@ from pathlib import Path
 from ab import ROOT, fresh_tree
 
 LABELS = ("parent", "change")
+PROCESSES = 3
+REPEATS = 10                    # per process
 
 
 def _k_times(bench_rows, trials: int) -> list[float]:
@@ -37,7 +38,7 @@ def _k_times(bench_rows, trials: int) -> list[float]:
     return [row["mean_time_ms"] for row in rows]
 
 
-def _process(trees: dict, repeats: int, parent_first: bool) -> dict:
+def _process(trees: dict, parent_first: bool) -> dict:
     """One process's repeats: each tree's (t100, t200, t300) per repeat."""
     loaded = {}
     for label in LABELS if parent_first else LABELS[::-1]:
@@ -46,7 +47,7 @@ def _process(trees: dict, repeats: int, parent_first: bool) -> dict:
             _k_times(bench_rows, 1)               # warm-up, not counted
         loaded[label] = (modules, bench_rows)
     times = {label: [] for label in LABELS}
-    for r in range(repeats):
+    for r in range(REPEATS):
         for label in LABELS if r % 2 == 0 else LABELS[::-1]:
             modules, bench_rows = loaded[label]
             sys.modules.update(modules)
@@ -60,25 +61,19 @@ def main(argv=None) -> int:
                         help="the parent's source tree (its src directory)")
     parser.add_argument("--change", type=Path, default=ROOT / "src",
                         help="the change's source tree (default: ./src)")
-    parser.add_argument("--processes", type=int, default=3)
-    parser.add_argument("--repeats", type=int, default=10,
-                        help="repeats per process")
     args = parser.parse_args(argv)
-    if args.processes < 1 or args.repeats < 1:
-        parser.error("--processes and --repeats must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     times = {label: [] for label in LABELS}
     # one worker, replaced after each task: the processes run one at a
     # time, each from a fresh import
     with ProcessPoolExecutor(1, multiprocessing.get_context("spawn"),
                              max_tasks_per_child=1) as pool:
-        for p in range(args.processes):
-            got = pool.submit(_process, trees, args.repeats,
-                              p % 2 == 0).result()
+        for p in range(PROCESSES):
+            got = pool.submit(_process, trees, p % 2 == 0).result()
             for label in LABELS:
                 times[label] += got[label]
     print("criterion 6 k-order: %d processes x %d repeats"
-          % (args.processes, args.repeats))
+          % (PROCESSES, REPEATS))
     for label in LABELS:
         runs = times[label]
         held = sum(t1 < t2 < t3 for t1, t2, t3 in runs)

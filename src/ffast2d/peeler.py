@@ -136,7 +136,12 @@ def observation_zero_threshold(stacks) -> float:
     success without it: a 30x30 [4, 9, 25] decode of
     {(1, 2): 1e10, (5, 7): 1.0} returns success with one entry.
     """
-    return 1e-9 * _anchor_peak(stacks)
+    return _zero_floor(_anchor_peak(stacks))
+
+
+def _zero_floor(peak: float) -> float:
+    """The zero floor for a largest anchor magnitude of peak."""
+    return 1e-9 * peak
 
 
 def _anchor_peak(stacks) -> float:
@@ -277,13 +282,14 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     (nonzero, singleton, u, v, value) arrays of length m, with singleton a
     subset of nonzero, u in [0, nx) and v in [0, ny). cols =
     stack[:, idx] of stage si, with idx a slice(None) on the first pass
-    and an array of flat bin positions after it. On a noiseless plan, whose stages share one plane layout
-    and whose classifier reads nothing but cols, it is called once per
-    step on the columns of all stages side by side, with si None and idx
-    positions in that joint array. The stacks hold the signal times
-    `unit`; recovered coefficients at or below `cut` in those units are
-    dropped from the spectrum, and the spectrum and the trace are divided
-    by `unit`. The stacks are consumed.
+    and an array of flat bin positions after it. On a noiseless plan,
+    whose stages share one plane layout and whose classifier reads
+    nothing but cols, it is called once per step on the columns of all
+    stages side by side, with si None and idx positions in that joint
+    array. The stacks hold the signal times `unit`; recovered
+    coefficients at or below `cut` in those units are dropped from the
+    spectrum, and the spectrum and the trace are divided by `unit`. The
+    stacks are consumed.
     """
     dims = plan.dims
     stages = plan.stages
@@ -441,9 +447,10 @@ def decode(source, plan: FfastPlan, *, min_magnitude: float = 0.0,
     """Front end plus peeling: the full sparse transform, either mode.
 
     Recovered values at or below max(min_magnitude, zero floor) are
-    dropped, the zero floor being observation_zero_threshold. Success
-    means every bin ends at or below that floor and each peel kept an
-    entry of its own: a dropped value leaves residual-left.
+    dropped, the zero floor being 1e-9 times the largest anchor
+    magnitude (_zero_floor). Success means every bin ends at or below
+    that floor and each peel kept an entry of its own: a dropped value
+    leaves residual-left.
 
     The stacks are peeled at unit scale: times the exact power of two
     that brings the largest anchor into [0.5, 1), with the zero floor,
@@ -459,12 +466,12 @@ def decode(source, plan: FfastPlan, *, min_magnitude: float = 0.0,
     touched = source.access_count - before
     # the power of two that brings the largest anchor into [0.5, 1): 1 for
     # all-zero stacks, at most 2^1023, the largest a float holds; scaling
-    # by it is exact, so the floor scales with the anchors
+    # by it is exact, so peak * unit is the scaled stacks' largest anchor
     peak = _anchor_peak(stacks)
     unit = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
     for stack in stacks:
         stack *= unit
-    zero_thresh = 1e-9 * peak * unit
+    zero_thresh = _zero_floor(peak * unit)
     if plan.mode == MODE_NOISELESS:
         def classify(si, idx, cols):
             if isinstance(idx, slice):

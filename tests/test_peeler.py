@@ -554,10 +554,19 @@ def test_decode_refuses_a_spectrum_that_overflows():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_decode_is_scale_equivariant(seed):
+def test_decode_is_scale_equivariant(monkeypatch, seed):
     # a product of two observations overflows beyond about 1e154 and
     # underflows below 1e-154: the decode peels at unit scale, so c as far
-    # out as 1e+-300 still gives c times the spectrum
+    # out as 1e+-300 still gives c times the spectrum, and the zero floor
+    # it peels with is the scaled stacks' own, bit for bit
+    floors = []
+    peel = peeler.peel_stacks
+
+    def recording_peel(stacks, plan, classify, touched, cut, *args):
+        floors.append((cut, observation_zero_threshold(stacks)))
+        return peel(stacks, plan, classify, touched, cut, *args)
+
+    monkeypatch.setattr(peeler, "peel_stacks", recording_peel)
     dims = Dims(30, 30)
     plan = build_plan(dims, [4, 9, 25])
     truth = gen_instance(dims, 10, seed=40 + seed).truth
@@ -572,3 +581,5 @@ def test_decode_is_scale_equivariant(seed):
         assert report.status == base.status, c
         assert set(got) == set(want), c
         assert all(abs(got[loc] - c * want[loc]) <= 1e-9 * c for loc in want), c
+        cut, floor = floors[-1]
+        assert cut == floor > 0, c
