@@ -181,11 +181,7 @@ def cmd_gen(args) -> int:
 def _decode_source(args, plan):
     dims = plan.dims
     if args.signal:
-        arr = read_signal_bin(args.signal)
-        if arr.shape != (dims.nx, dims.ny):
-            raise FfastError("signal shape %r does not match plan dims (%d, %d)"
-                             % (arr.shape, dims.nx, dims.ny))
-        return ArraySource(arr), None
+        return ArraySource(read_signal_bin(args.signal)), None
     if args.truth:
         truth = read_spectrum_csv(args.truth, dims)
         return ExponentialSumSource(truth), truth
@@ -195,35 +191,28 @@ def _decode_source(args, plan):
     return ExponentialSumSource(truth), truth
 
 
-def _check_flag(flag: str, value, at_least=None) -> None:
-    """Refuses a NaN or infinite flag value, or one below at_least."""
-    if value is None:
-        return
-    if not math.isfinite(value):
-        raise FfastError("%s must be a finite number, got %r" % (flag, value))
-    if at_least is not None and value < at_least:
-        raise FfastError("%s must be >= %r, got %r" % (flag, at_least, value))
-
-
 def _decode_sigma2(args, truth) -> float:
-    if args.sigma2 is not None:
-        return args.sigma2
-    if args.snr_db is None:
-        return 0.0
-    if not truth or not len(truth):
+    """--sigma2, or the variance --snr-db sets against the truth's mean
+    power. --snr-db is the CLI's own, so its rule is here: it must be
+    finite. A variance that underflows is 0, no noise; one that
+    overflows is inf, which NoisySource refuses."""
+    if args.sigma2 is not None or args.snr_db is None:
+        return args.sigma2 or 0.0
+    if not math.isfinite(args.snr_db):
+        raise FfastError("--snr-db must be a finite number, got %r"
+                         % args.snr_db)
+    if not truth:
         raise FfastError("--snr-db needs a truth spectrum to scale against")
-    return mean_power(truth) / 10 ** (args.snr_db / 10)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        return float(mean_power(truth) / np.float64(10) ** (args.snr_db / 10))
 
 
 def cmd_decode(args) -> int:
-    _check_flag("--sigma2", args.sigma2, 0.0)
-    _check_flag("--snr-db", args.snr_db)
-    _check_flag("--min-magnitude", args.min_magnitude, 0.0)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = plan_from_json(fh.read())
     source, truth = _decode_source(args, plan)
     sigma2 = _decode_sigma2(args, truth)
-    if sigma2 > 0:
+    if sigma2 != 0:
         source = NoisySource(source, sigma2, args.noise_seed)
     start = time.perf_counter()
     report = decode(source, plan, min_magnitude=args.min_magnitude)
@@ -243,8 +232,9 @@ def _trial_stats(plan, k: int, value_model, trials: int, seed: int, judge,
                  sigma2: float = 0.0, min_magnitude: float = 0.0) -> dict:
     """Successes and mean cost of seeded decodes, timing only the decode.
 
-    Trial t draws its instance with seed + t and, when sigma2 > 0, its
-    noise with seed + t + 1; judge(report, truth) scores it.
+    Trial t draws its instance with seed + t and, when sigma2 is not 0,
+    its noise with seed + t + 1 (NoisySource refuses a negative or NaN
+    sigma2); judge(report, truth) scores it.
     """
     if trials < 1:
         raise FfastError("trials must be at least 1, got %d" % trials)
@@ -254,7 +244,7 @@ def _trial_stats(plan, k: int, value_model, trials: int, seed: int, judge,
     for t in range(trials):
         inst = gen_instance(plan.dims, k, value_model, seed + t)
         source = inst.source
-        if sigma2 > 0:
+        if sigma2 != 0:
             source = NoisySource(source, sigma2, seed + t + 1)
         start = time.perf_counter()
         report = decode(source, plan, min_magnitude=min_magnitude)
@@ -306,22 +296,18 @@ def _rows_to_csv(rows, columns) -> str:
 
 
 def _robust_params(args, seed: int = 0) -> RobustParams | None:
-    """The robust design flags; in noiseless mode None, and any of them
-    set away from its default is refused."""
-    if args.mode == MODE_ROBUST:
-        return RobustParams(chains_per_dim=args.chains, reps=args.reps,
-                            noise_var=args.sigma2 or 0.0, seed=seed)
-    for flag, used in (("--sigma2", (args.sigma2 or 0.0) > 0),
-                       ("--chains", args.chains != 1),
-                       ("--reps", args.reps != 1),
-                       ("--design-seed", seed != 0)):
-        if used:
-            raise FfastError("%s applies only with --mode robust" % flag)
-    return None
+    """The robust design flags as RobustParams, which checks them; None
+    in noiseless mode with every flag at its default. build_plan refuses
+    parameters on a noiseless plan, so a robust-only flag there is an
+    error."""
+    params = RobustParams(chains_per_dim=args.chains, reps=args.reps,
+                          noise_var=args.sigma2 or 0.0, seed=seed)
+    if args.mode != MODE_ROBUST and params == RobustParams():
+        return None
+    return params
 
 
 def cmd_plan(args) -> int:
-    _check_flag("--sigma2", args.sigma2, 0.0)
     plan = build_plan(Dims(args.nx, args.ny), _parse_int_list(args.factors),
                       args.regime, args.mode,
                       _robust_params(args, args.design_seed))
@@ -330,8 +316,6 @@ def cmd_plan(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_flag("--sigma2", args.sigma2, 0.0)
-    _check_flag("--min-magnitude", args.min_magnitude, 0.0)
     rows = sweep_rows(Dims(args.nx, args.ny), _parse_int_list(args.factors),
                       args.regime, _parse_int_list(args.k_list), args.trials,
                       args.seed, mode=args.mode, sigma2=args.sigma2 or 0.0,

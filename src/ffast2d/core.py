@@ -71,7 +71,8 @@ class Constellation:
 
     Magnitudes are sqrt(rho)/2 + j*sqrt(rho)/m1 for j = 0..m1, phases are
     2*pi*j/m2 for j = 0..m2-1. rho is the target per-coefficient power
-    relative to unit per-sample noise variance.
+    relative to unit per-sample noise variance; m1 and m2 are integers
+    (_index).
     """
 
     rho: float
@@ -81,7 +82,7 @@ class Constellation:
     def __post_init__(self):
         if not 0 < self.rho < math.inf:
             raise ValueError("rho must be finite and positive")
-        if self.m1 < 1 or self.m2 < 1:
+        if _index(self.m1, "m1") < 1 or _index(self.m2, "m2") < 1:
             raise ValueError("m1 and m2 must be positive integers")
 
     def magnitudes(self) -> list[float]:
@@ -107,8 +108,9 @@ class RobustParams:
 
     chains_per_dim and reps multiply the number of random-offset shift pairs
     per bit level; noise_var is the per-sample complex noise variance; seed
-    fixes the shift design. The slacks of the classifier's tests are fixed:
-    GAMMA_ZERO and GAMMA_SINGLE.
+    fixes the shift design. The three integers are read with _index, so
+    2.5 is refused rather than cast. The slacks of the classifier's tests
+    are fixed: GAMMA_ZERO and GAMMA_SINGLE.
 
     chains_per_dim and reps act only through their product,
     pairs_per_level: (1, 5) and (5, 1) build the same shifts and so give
@@ -122,12 +124,14 @@ class RobustParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.chains_per_dim < 1:
+        if _index(self.chains_per_dim, "chains_per_dim") < 1:
             raise ValueError("chains_per_dim must be >= 1")
-        if self.reps < 1:
+        if _index(self.reps, "reps") < 1:
             raise ValueError("reps must be >= 1")
         if not 0 <= self.noise_var < math.inf:
-            raise ValueError("noise_var must be finite and >= 0")
+            raise ValueError("noise_var must be finite and >= 0, got %r"
+                             % (self.noise_var,))
+        _index(self.seed, "seed")
 
     @property
     def pairs_per_level(self) -> int:

@@ -86,17 +86,16 @@ def coprime_sparse_dft(source: SignalSource, dims: Dims,
     """Sparse 2D DFT of a co-prime-extent grid via the 1-row pipeline.
 
     Decodes the diagonal view (DiagonalView) with plan1d and relabels each
-    recovered frequency f as the pair (u, v) of diag_freq_pair. A decode
-    that does not end in success raises FfastError, naming its status and
-    how many entries it had recovered, rather than return part of the
-    spectrum as if it were the whole.
+    recovered frequency f as the pair (u, v) of diag_freq_pair. A plan1d
+    whose dims are not the view's (1, n) is refused by the front end
+    (frontend.ShapeMismatch) before any read. A decode that does not end
+    in success raises FfastError, naming its status and how many entries
+    it had recovered, rather than return part of the spectrum as if it
+    were the whole.
     """
     _require_coprime(dims)
     if source.dims != dims:
         raise ValueError("source dims %r do not match %r" % (source.dims, dims))
-    if plan1d.dims != Dims(1, dims.n):
-        raise ValueError("plan dims %r are not the 1-row view of n = %d"
-                         % (plan1d.dims, dims.n))
     report = decode(DiagonalView(source), plan1d)
     if report.status != STATUS_SUCCESS:
         raise FfastError("the 1-row decode ended %r with %d entries recovered"

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constellation, Dims, FfastError, SparseSpectrum, StageConfig
+from .core import (Constellation, Dims, FfastError, SparseSpectrum,
+                   StageConfig, _index)
 from .roots import unit_roots
 
 VALUE_UNIT_CIRCLE = "unit-circle"
@@ -293,15 +294,21 @@ class NoisySource(SignalSource):
     the identical value, with no per-cell state kept anywhere. Reads go
     through sample_grid, so a grid read charges the inner source, and
     draws noise, for its distinct cells only.
+
+    The source owns the rules on its inputs: sigma2 must be finite and
+    >= 0, so a NaN, negative or infinite variance raises ValueError, and
+    seed must be an integer (core._index), so 1.5 is refused rather than
+    read as 1.
     """
 
     def __init__(self, inner: SignalSource, sigma2: float, seed: int):
         if not 0 <= sigma2 < math.inf:
-            raise ValueError("sigma2 must be finite and >= 0")
+            raise ValueError("sigma2 must be finite and >= 0, got %r"
+                             % (sigma2,))
         super().__init__(inner.dims)
         self.inner = inner
         self.sigma2 = float(sigma2)
-        self.seed = int(seed)
+        self.seed = _index(seed, "seed")
 
     def _flat(self, aa, bb):
         return aa * self.dims.ny + bb

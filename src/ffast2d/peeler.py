@@ -450,7 +450,9 @@ def decode(source, plan: FfastPlan, *, min_magnitude: float = 0.0,
     dropped, the zero floor being 1e-9 times the largest anchor
     magnitude (_zero_floor). Success means every bin ends at or below
     that floor and each peel kept an entry of its own: a dropped value
-    leaves residual-left.
+    leaves residual-left. min_magnitude must be finite and >= 0; any
+    other value (a NaN or infinite one would drop every entry) raises
+    ValueError before any sample is read.
 
     The stacks are peeled at unit scale: times the exact power of two
     that brings the largest anchor into [0.5, 1), with the zero floor,
@@ -461,6 +463,9 @@ def decode(source, plan: FfastPlan, *, min_magnitude: float = 0.0,
     unscaled stacks would peel without over- or underflow, the decisions
     and values are theirs, bit for bit.
     """
+    if not 0 <= min_magnitude < math.inf:
+        raise ValueError("min_magnitude must be finite and >= 0, got %r"
+                         % (min_magnitude,))
     before = source.access_count
     stacks = run_frontend(plan, source)
     touched = source.access_count - before

@@ -41,6 +41,7 @@ ratio test, so both modes peel alike.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -119,8 +120,12 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
     """Classifies one robust-layout observation vector.
 
     A lone vector carries no lattice structure, so its chains count as
-    independent: its energy is sum_c |y_c|^2 and its spread is C.
+    independent: its energy is sum_c |y_c|^2 and its spread is C. A
+    noise_var override replaces params.noise_var through RobustParams,
+    which refuses a NaN, negative or infinite one.
     """
+    if noise_var is not None:
+        params = dataclasses.replace(params, noise_var=noise_var)
     shifts = int_shifts(obs.shifts)
     check_robust_layout(dims, shifts, params)
     n = len(shifts)
@@ -129,12 +134,11 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
         raise PlanError("expected %d chain values, got %d" % (n, ys.shape[0]))
     if not np.isfinite(ys).all():
         raise NonFiniteSample("non-finite chain value in a robust vector")
-    sigma2 = params.noise_var if noise_var is None else noise_var
     zero_thresh = observation_zero_threshold([ys])
-    nonzero = _energy_test((np.abs(ys) ** 2).sum(axis=0), n, n, sigma2,
-                           zero_thresh)
-    fit = _fit(ys, np.asarray(shifts, dtype=np.int64), dims, params, sigma2,
-               n, zero_thresh)
+    nonzero = _energy_test((np.abs(ys) ** 2).sum(axis=0), n, n,
+                           params.noise_var, zero_thresh)
+    fit = _fit(ys, np.asarray(shifts, dtype=np.int64), dims, params,
+               params.noise_var, n, zero_thresh)
     return BinClass.from_scan((nonzero,) + fit)
 
 

@@ -9,8 +9,9 @@ from ffast2d.cli import (BENCH_FAMILIES, bench_rows, main, read_signal_bin,
                          read_spectrum_csv, sweep_rows, write_signal_bin,
                          write_spectrum_csv)
 from ffast2d.core import (Dims, FfastError, RobustParams, SparseSpectrum,
-                          build_plan, plan_to_json)
-from ffast2d.oracle import ArraySource, gen_instance, synthesize_dense
+                          build_plan, plan_from_json, plan_to_json)
+from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
+                            gen_instance, mean_power, synthesize_dense)
 from ffast2d.peeler import decode
 
 WORKED_ENTRIES = "1,3,7,0;2,0,3,0;2,3,5,0;4,0,1,0"
@@ -346,6 +347,72 @@ def test_cli_readers_refuse_malformed_input(tmp_path, capsys, name):
     assert "Traceback" not in captured.err
 
 
+def test_decode_snr_db_scales_the_noise_to_the_truth_file(tmp_path):
+    # --snr-db sets sigma2 = mean power / 10^(snr/10) against the truth,
+    # and the decode reads the truth through NoisySource at that variance
+    truth_path = str(tmp_path / "truth.csv")
+    assert main(["gen", "--nx", "6", "--ny", "6",
+                 "--entries", WORKED_ENTRIES, "--out-truth", truth_path]) == 0
+    plan_path = _write_plan(tmp_path)
+    out_path = tmp_path / "report.json"
+    code = main(["decode", "--plan", plan_path, "--truth", truth_path,
+                 "--snr-db", "40", "--noise-seed", "5",
+                 "--out", str(out_path)])
+    doc = json.loads(out_path.read_text())
+    truth = read_spectrum_csv(truth_path, Dims(6, 6))
+    sigma2 = mean_power(truth) / 10 ** 4
+    want = decode(NoisySource(ExponentialSumSource(truth), sigma2, 5),
+                  plan_from_json((tmp_path / "plan.json").read_text()))
+    assert code == (0 if want.status == "success" else 2)
+    assert doc["status"] == want.status
+    assert doc["entries"] == [[u, v, val.real, val.imag]
+                              for (u, v), val in want.spectrum.items()]
+    assert doc["entries"] != [[u, v, val.real, val.imag]
+                              for (u, v), val in truth.items()]
+
+
+def test_decode_snr_db_needs_a_truth(tmp_path, capsys):
+    sig_path = str(tmp_path / "sig.bin")
+    assert main(["gen", "--nx", "6", "--ny", "6",
+                 "--entries", WORKED_ENTRIES,
+                 "--out-truth", str(tmp_path / "truth.csv"),
+                 "--out-signal", sig_path]) == 0
+    assert main(["decode", "--plan", _write_plan(tmp_path),
+                 "--signal", sig_path, "--snr-db", "20"]) == 1
+    assert "--snr-db needs a truth" in capsys.readouterr().err
+
+
+def test_decode_snr_db_whose_variance_overflows_is_refused(tmp_path,
+                                                           capsys):
+    # 10^(-400) underflows to 0; the variance it divides is inf, refused
+    # as --sigma2 inf is, where a ZeroDivisionError used to end in a
+    # traceback
+    assert main(["decode", "--plan", _write_plan(tmp_path), "--k", "2",
+                 "--snr-db", "-4000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ffast2d: error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_decode_snr_db_whose_variance_underflows_decodes_without_noise(
+        tmp_path, capsys):
+    # 10^(1e307) overflows, where an OverflowError used to end in a
+    # traceback; the variance is 0, so the decode is the noiseless one
+    plan_path = _write_plan(tmp_path)
+    docs = []
+    for extra in ([], ["--snr-db", "1e308"]):
+        path = tmp_path / "report.json"
+        assert main(["decode", "--plan", plan_path, "--k", "2", "--seed", "4",
+                     "--out", str(path)] + extra) == 0
+        doc = json.loads(path.read_text())
+        doc.pop("wall_time_ms")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert capsys.readouterr().err == ""
+
+
 def test_decode_rejects_non_finite_signal(tmp_path, capsys):
     sig_path = str(tmp_path / "sig.bin")
     assert main(["gen", "--nx", "6", "--ny", "6",
@@ -425,6 +492,31 @@ def test_sweep_robust_mode():
                       sigma2=0.01, robust_params=params, min_magnitude=0.25)
     assert rows[0]["successes"] == 3
     assert rows[0]["mean_samples"] == 73 * 50
+
+
+def test_sweep_rows_refuses_a_min_magnitude_that_is_not_finite():
+    # decode owns the rule; a NaN cut used to drop every entry
+    with pytest.raises(ValueError, match="min_magnitude"):
+        sweep_rows(Dims(30, 30), [4, 9, 25], "less-sparse", k_list=[2],
+                   trials=1, seed=0, min_magnitude=float("nan"))
+
+
+def test_noiseless_sweep_rows_refuses_a_negative_sigma2():
+    # a nonzero sigma2 always goes to NoisySource, which refuses -1; the
+    # trials used to decode without noise
+    with pytest.raises(ValueError, match="sigma2"):
+        sweep_rows(Dims(30, 30), [4, 9, 25], "less-sparse", k_list=[2],
+                   trials=1, seed=0, sigma2=-1.0)
+
+
+def test_bench_cli_writes_csv(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--nx-list", "315", "--k-list", "100",
+                 "--trials", "2", "--seed", "1", "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert header == "k,nx,ny,trials,successes,mean_samples,mean_time_ms"
+    assert row.split(",")[:6] == ["100", "315", "315", "2", "2", "465.0"]
+    assert float(row.split(",")[6]) > 0
 
 
 def test_bench_rows_budget_and_success():

@@ -196,6 +196,59 @@ def test_validate_rejects_a_stage_that_does_not_subsample():
         FfastPlan(dims, stages).validate()
 
 
+def test_validate_refuses_an_unknown_mode():
+    plan = build_plan(Dims(6, 6), [9, 4])
+    with pytest.raises(PlanError, match="unknown mode 'fast'"):
+        FfastPlan(plan.dims, plan.stages, "fast")
+
+
+def test_validate_refuses_periods_that_do_not_tile():
+    # 2 x 2 periods of 2 x 3 bins cover 4 x 6 cells, not 6 x 6
+    plan = build_plan(Dims(6, 6), [9, 4])
+    bad = StageConfig(2, 2, 2, 3, noiseless_shifts(Dims(6, 6)))
+    with pytest.raises(PlanError, match="do not tile"):
+        FfastPlan(plan.dims, (bad, plan.stages[1]))
+
+
+def test_validate_refuses_bin_counts_with_no_coprime_split():
+    # two 9-bin stages on 6x6: [9, 9] shares a divisor, and so does the
+    # less-sparse reading [4, 4]
+    dims = Dims(6, 6)
+    stage = StageConfig.from_subsampling(dims, 2, 2, noiseless_shifts(dims))
+    with pytest.raises(PlanError, match=r"\[9, 9\] do not realize"):
+        FfastPlan(dims, (stage, stage))
+
+
+def test_build_plan_refuses_an_unknown_regime():
+    with pytest.raises(PlanError, match="unknown regime 'dense'"):
+        build_plan(Dims(6, 6), [9, 4], "dense")
+
+
+def test_build_plan_gives_a_robust_plan_default_params():
+    plan = build_plan(Dims(60, 60), [16, 9, 25], "very-sparse", "robust")
+    assert plan.robust_params == RobustParams()
+    assert plan == build_plan(Dims(60, 60), [16, 9, 25], "very-sparse",
+                              "robust", RobustParams())
+
+
+@pytest.mark.parametrize("field,value", [("chains_per_dim", 2.5),
+                                         ("reps", 3.0), ("seed", 1.5),
+                                         ("seed", "1")])
+def test_robust_params_refuse_integers_that_are_not_integers(field, value):
+    # chains_per_dim 2.5 and seed 1.5 used to pass, and build_plan then
+    # raised a TypeError
+    with pytest.raises(PlanError, match="%s is not an integer" % field):
+        RobustParams(**{field: value})
+
+
+@pytest.mark.parametrize("m1,m2", [(2.5, 8), (2, 8.0)])
+def test_constellation_refuses_levels_that_are_not_integers(m1, m2):
+    # Constellation(1.0, 2.5, 8) used to pass, and magnitudes() then
+    # raised a TypeError
+    with pytest.raises(PlanError, match="is not an integer"):
+        Constellation(1.0, m1, m2)
+
+
 def test_bit_levels():
     assert [bit_levels(n) for n in (1, 2, 3, 8, 9, 280)] == [0, 1, 2, 3, 4, 9]
 

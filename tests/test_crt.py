@@ -102,6 +102,18 @@ def test_diagonal_view_matches_readout():
     assert np.max(np.abs(got - good_thomas_forward(dense, dims))) < 1e-10
 
 
+def test_diagonal_view_reads_points():
+    # view[0][t] = x[t mod nx][t mod ny], charged one sample per point
+    dims = Dims(4, 5)
+    inst = gen_instance(dims, 6, seed=3)
+    view = DiagonalView(inst.source)
+    t = np.array([0, 7, 19, 7])
+    got = view.sample_points(np.zeros(4, dtype=np.int64), t)
+    want = synthesize_dense(inst.truth)[t % 4, t % 5]
+    assert np.max(np.abs(got - want)) < 1e-10
+    assert view.access_count == 4
+
+
 def _plan_1x20():
     return build_plan(Dims(1, 20), [4, 5], regime="very-sparse")
 

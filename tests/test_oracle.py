@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from ffast2d.core import Constellation, Dims, SparseSpectrum, StageConfig
+from ffast2d.core import (Constellation, Dims, PlanError, SparseSpectrum,
+                          StageConfig)
 from ffast2d.oracle import (DIRECT_SYNTHESIS_MAX, ArraySource,
                             ExponentialSumSource, KTooLarge, NoisySource,
                             SignalSource, _first_seen, _noise_at,
-                            alias_sum_oracle, dense_dft_2d, gen_instance,
-                            instance_snr, mean_power, synthesize_dense)
+                            _progression_length, alias_sum_oracle,
+                            dense_dft_2d, gen_instance, instance_snr,
+                            mean_power, synthesize_dense)
 
 WORKED_6X6 = {(1, 3): 7.0, (2, 0): 3.0, (2, 3): 5.0, (4, 0): 1.0}
 
@@ -502,6 +504,27 @@ def test_noisy_source_refuses_bad_sigma2(sigma2):
                                                            WORKED_6X6))
     with pytest.raises(ValueError, match="sigma2"):
         NoisySource(src, sigma2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+def test_noisy_source_refuses_a_seed_that_is_not_an_integer(seed):
+    # seed 1.5 used to be read as 1, and gave seed 1's noise
+    src = ExponentialSumSource(SparseSpectrum.from_entries(Dims(6, 6),
+                                                           WORKED_6X6))
+    with pytest.raises(PlanError, match="seed is not an integer"):
+        NoisySource(src, 1.0, seed=seed)
+    assert NoisySource(src, 1.0, seed=np.int64(1)).seed == 1
+
+
+def test_progression_length_of_short_and_broken_runs():
+    # a read of 0 or 1 index is its own run; runs that do not step by
+    # n // m all the way are no progressions, so the read is not folded
+    assert _progression_length(np.array([], dtype=np.int64), 10) == 0
+    assert _progression_length(np.array([7]), 10) == 1
+    assert _progression_length(np.array([3, 5, 7, 9, 1]), 10) == 5
+    assert _progression_length(np.array([0, 2, 4, 6, 9]), 10) == 0
+    assert _progression_length(np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 9]),
+                               10) == 0
 
 
 @pytest.mark.parametrize("model", ["unit-circle", "complex-gaussian",

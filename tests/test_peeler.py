@@ -539,6 +539,18 @@ def test_decode_rejects_non_finite_sample(bad):
         decode(ArraySource(x), plan)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_decode_refuses_a_min_magnitude_that_is_not_finite_and_nonnegative(
+        bad):
+    # a NaN or infinite cut used to drop every entry, ending residual-left
+    # with 0 entries; the decode refuses it before reading a sample
+    dims = Dims(30, 30)
+    source = gen_instance(dims, 10, seed=40).source
+    with pytest.raises(ValueError, match="min_magnitude"):
+        decode(source, build_plan(dims, [4, 9, 25]), min_magnitude=bad)
+    assert source.access_count == 0
+
+
 def test_decode_refuses_a_spectrum_that_overflows():
     # the samples are finite, but a lattice's FFT overflows past the float
     # maximum; the decode refuses the signal instead of peeling inf and NaN

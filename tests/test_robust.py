@@ -130,6 +130,19 @@ def test_robust_classify_refuses_non_finite_values(bad):
                         params)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+def test_robust_classify_refuses_a_bad_noise_var_override(bad):
+    # the override goes through RobustParams; a NaN one used to call a
+    # clean singleton a zero-ton, and -1 a multi-ton
+    dims = Dims(16, 16)
+    params = RobustParams(chains_per_dim=1, reps=1, noise_var=0.0)
+    obs = _obs_for(dims, params, {(5, 11): 2.0 - 1.0j})
+    assert robust_classify(obs, dims, params,
+                           noise_var=0.0).kind == KIND_SINGLETON
+    with pytest.raises(ValueError, match="noise_var"):
+        robust_classify(obs, dims, params, noise_var=bad)
+
+
 def test_robust_classify_takes_shifts_as_lists():
     dims = Dims(16, 16)
     params = RobustParams(chains_per_dim=1, reps=3, noise_var=0.25)
