@@ -49,15 +49,24 @@ def _index(value, what: str) -> int:
         raise PlanError("%s is not an integer: %r" % (what, value)) from None
 
 
+def _keep_indices(obj, *names) -> None:
+    """Stores each named field of a frozen dataclass as _index reads it, so
+    a numpy integer is kept as an int, which plan_to_json can write."""
+    for name in names:
+        object.__setattr__(obj, name, _index(getattr(obj, name), name))
+
+
 @dataclass(frozen=True)
 class Dims:
-    """Grid extents, integers (_index). n is the total number of samples."""
+    """Grid extents, integers (_index, kept as ints). n is the total
+    number of samples."""
 
     nx: int
     ny: int
 
     def __post_init__(self):
-        if _index(self.nx, "nx") < 1 or _index(self.ny, "ny") < 1:
+        _keep_indices(self, "nx", "ny")
+        if self.nx < 1 or self.ny < 1:
             raise PlanError("dims must be positive, got (%r, %r)" % (self.nx, self.ny))
 
     @property
@@ -124,14 +133,14 @@ class RobustParams:
     seed: int = 0
 
     def __post_init__(self):
-        if _index(self.chains_per_dim, "chains_per_dim") < 1:
+        _keep_indices(self, "chains_per_dim", "reps", "seed")
+        if self.chains_per_dim < 1:
             raise ValueError("chains_per_dim must be >= 1")
-        if _index(self.reps, "reps") < 1:
+        if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not 0 <= self.noise_var < math.inf:
             raise ValueError("noise_var must be finite and >= 0, got %r"
                              % (self.noise_var,))
-        _index(self.seed, "seed")
 
     @property
     def pairs_per_level(self) -> int:

@@ -35,16 +35,19 @@ with the peels, not with rounds times bins. Rounds visit the stages in
 order. A stage step takes the stage's singletons in row-major bin order,
 with no per-bin re-check: a peel found in stage s lands in stage s only
 in its own bin, and the step's bins are distinct, so the classification
-stays exact for the rest of the step. The step then subtracts all of its
-peels from every stage in one batch and re-classifies the bins it
-touched right away. Noiseless stages share one plane layout and the
-ratio test reads nothing but the columns, so in a noiseless decode the
-stages' columns sit side by side in one array, and a step costs one
-subtraction and one classifier call whatever the number of stages; the
-robust classifier reads each stage's own lattice geometry, so it gets
-one call per stage. The peels are kept as arrays and summed per
-location once, at the end; per-peel Python runs only for a trace
-callback.
+stays exact for the rest of the step. A singleton stands only if its
+location aliases back into its own bin: the step reads that off the bins
+its peels land in, which the subtraction needs anyway, and the first
+pass checks its own singletons for the bin statistics. The step then
+subtracts all of its peels from every stage in one batch and
+re-classifies the bins it touched right away. Noiseless stages share one
+plane layout and the ratio test reads nothing but the columns, so in a
+noiseless decode the stages' columns sit side by side in one array, and
+a step costs one subtraction and one classifier call whatever the number
+of stages; the robust classifier reads each stage's own lattice
+geometry, so it gets one call per stage. The peels are kept as arrays
+and summed per location once, at the end; per-peel Python runs only for
+a trace callback.
 
 A re-classification batch of fewer than WHOLE_ARRAY_BATCH columns goes
 through a scalar loop over columns, whose cost follows the columns it is
@@ -52,33 +55,48 @@ given, where one whole-array call costs tens of microseconds however few
 columns it gets. Larger batches take one whole-array ratio test, which
 makes the same decisions.
 
-The first pass is one batch of every bin. One whole-array magnitude
-test settles most of its multi-tons before the scalar loop (_first_pass):
-a column whose anchor y_0 is above the zero floor, and one of whose
-shifted chains y_c differs from it in magnitude by more than twice the
-residual tolerance, cannot pass the ratio test, as
-|y_c - y_0 w| >= ||y_c| - |y_0|| for every unit root w. Its outcome is
-known: live, not a singleton, location (0, 0) and value y_0, bit for bit
-what the loop returns. On the seed-1 280x280 k = 3821 decode the screen
-settles 3,213 of the 5,961 first-pass columns, and the loop gets the
-other 2,748: 1,106 zero-tons and 1,642 singletons.
+The first pass is one batch of every bin, and two whole-array tests
+settle most of it before the scalar loop (_first_pass). A column whose
+anchor y_0 is above the zero floor, and one of whose shifted chains y_c
+differs from it in magnitude by more than twice the residual tolerance,
+cannot pass the ratio test, as |y_c - y_0 w| >= ||y_c| - |y_0|| for
+every unit root w: it is live and not a singleton, with location (0, 0)
+and value y_0. The loop takes the same shortcut on its x-shifted chain
+before it takes an angle. The other columns above the floor take the
+whole-array ratio test at half of each tolerance and twice the floor.
+Its angles and products differ from the loop's by a few roundings, far
+inside those margins, so a column it passes is one the loop calls a
+singleton at the same location, with value y_0. What is left goes
+through the loop: the zero-tons, and the candidates within a margin of a
+tolerance. The outcome is the loop's, bit for bit. On the seed-1 280x280
+k = 3821 decode the two tests settle 3,213 multi-tons and 1,642
+singletons of the 5,961 first-pass columns, and the loop gets the 1,106
+zero-tons.
 
-Zero-tons and singletons stay on the scalar loop because of criterion 6,
-whose k-order check compares plans of different shape. The 2-stage
-k = 200 plan [1225, 81] has 1,306 bins, about 1,044 of them zero-tons
-and 194 singletons, and decodes in about 3 rounds; the 3-stage k = 100
-plan [81, 25, 49] has 155 bins and about 6 rounds. A whole-array first
-pass speeds the first far more than the second: with it, the
-k = 100 / k = 200 time ratio was 1.18 and the k-order held in 0 of 10
-repeats. The screen takes only the multi-tons, about 68 columns off the
-k = 200 first pass and 83 off the k = 100 one (means over criterion 6's
-seeds), so it leaves that margin alone.
+Criterion 6's k-order check compares plans of different shape, so the
+first pass keeps its zero-tons on the scalar loop. The 2-stage k = 200
+plan [1225, 81] has 1,306 bins, about 1,044 of them zero-tons, 194
+singletons and 68 multi-tons, and decodes in about 3 rounds and 3.6
+stage steps; the 3-stage k = 100 plan [81, 25, 49] has 155 bins (29
+zero-tons, 43 singletons, 83 multi-tons) and takes about 6 rounds and
+13.7 steps (means over the criterion's seeds). A whole-array first pass
+of every column, zero-tons too, speeds the k = 200 decode far more than
+the k = 100 one: with it, the k = 100 / k = 200 time ratio was 1.18 and
+the k-order held in 0 of 10 repeats. Settling the singletons alone moves
+that ratio the same way, and the order holds only because a stage step,
+which k = 100 pays almost four times as often, is cheaper too: its peel
+weights come from per-plane phase tables (_plane_roots), its alias check
+reuses the peels' bins, its gathers and counts are single numpy calls,
+and the loop skips the angles of a column the magnitude test rejects.
+In-process, 5 bench/korder.py runs with 10 processes each held the order
+in 473 of 500 repeats, against 468 for the code before these changes, at
+a median t(100)/t(200) of 0.748-0.756 against its 0.769-0.777.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -181,9 +199,11 @@ def _ratio_scan(cols: np.ndarray, dims: Dims, zero_thresh: float):
     nx, ny = dims.nx, dims.ny
     rx, ry = unit_root_list(nx), unit_root_list(ny)
     m = cols.shape[1]
-    nonzero, single = bytearray(m), bytearray(m)
-    uu, vv = array("q", bytes(8 * m)), array("q", bytes(8 * m))
-    atan2, two_pi = math.atan2, _TWO_PI
+    nonzero = np.zeros(m, dtype=bool)
+    single = np.zeros(m, dtype=bool)
+    uu = np.zeros(m, dtype=np.int64)
+    vv = np.zeros(m, dtype=np.int64)
+    phase, two_pi = cmath.phase, _TWO_PI
     tol_angle, tol_res = DEFAULT_TOL_ANGLE, DEFAULT_TOL_RESIDUAL
     planes = _three_planes(cols, dims).tolist()
     for b, (anchor, yx, yy) in enumerate(zip(*planes)):
@@ -191,42 +211,45 @@ def _ratio_scan(cols: np.ndarray, dims: Dims, zero_thresh: float):
         if mag <= zero_thresh:
             nonzero[b] = abs(yx) > zero_thresh or abs(yy) > zero_thresh
             continue
-        nonzero[b] = 1
-        conj = anchor.conjugate()
+        nonzero[b] = True
         tol_residual = tol_res * mag
-        ratio = yx * conj
-        est = atan2(ratio.imag, ratio.real) * nx / two_pi % nx
+        # the magnitude test of _first_pass: such a column fails the
+        # residual test below, so its angles need not be taken
+        if abs(abs(yx) - mag) > 2 * tol_residual:
+            continue
+        conj = anchor.conjugate()
+        # phase(z) is atan2(z.imag, z.real), bit for bit
+        est = phase(yx * conj) * nx / two_pi % nx
         u = round(est)
         if abs(est - u) > tol_angle:
             continue
         u %= nx
         if abs(yx - anchor * rx[u]) > tol_residual:
             continue
-        ratio = yy * conj
-        est = atan2(ratio.imag, ratio.real) * ny / two_pi % ny
+        est = phase(yy * conj) * ny / two_pi % ny
         v = round(est)
         if abs(est - v) > tol_angle:
             continue
         v %= ny
         if abs(yy - anchor * ry[v]) > tol_residual:
             continue
-        single[b] = 1
+        single[b] = True
         uu[b] = u
         vv[b] = v
-    return (np.frombuffer(nonzero, dtype=bool),
-            np.frombuffer(single, dtype=bool),
-            np.frombuffer(uu, dtype=np.int64),
-            np.frombuffer(vv, dtype=np.int64), cols[0].copy())
+    return nonzero, single, uu, vv, cols[0]
 
 
-def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float):
+def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float,
+                      tol_angle: float = DEFAULT_TOL_ANGLE,
+                      tol_residual: float = DEFAULT_TOL_RESIDUAL):
     """The ratio test of _ratio_scan as whole-array numpy expressions.
 
-    It makes the same decisions as the scalar loop; angles and products
-    may differ from CPython's in the last bit, which moves a decision
-    only for an estimate within one rounding of a tolerance. An angle
-    estimate lies in [-n/2, n/2], so adding n to a negative one is the
-    loop's float `% n`, and only a location rounded up to n wraps to 0.
+    At the default tolerances it makes the same decisions as the scalar
+    loop; angles and products may differ from CPython's in the last bit,
+    which moves a decision only for an estimate within one rounding of a
+    tolerance. An angle estimate lies in [-n/2, n/2], so adding n to a
+    negative one is the loop's float `% n`, and only a location rounded
+    up to n wraps to 0.
     """
     planes = _three_planes(cols, dims)
     mags = np.abs(planes)
@@ -238,38 +261,47 @@ def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float):
     snapped = np.rint(est)
     loc = snapped.astype(np.int64)
     loc[loc == n] = 0
-    tol = DEFAULT_TOL_RESIDUAL * mag
+    tol = tol_residual * mag
     single = ((mag > zero_thresh)
-              & (np.abs(est - snapped) <= DEFAULT_TOL_ANGLE).all(axis=0)
+              & (np.abs(est - snapped) <= tol_angle).all(axis=0)
               & (np.abs(yx - anchor * unit_roots(dims.nx)[loc[0]]) <= tol)
               & (np.abs(yy - anchor * unit_roots(dims.ny)[loc[1]]) <= tol))
     loc *= single
-    return (mags.max(axis=0) > zero_thresh, single, loc[0], loc[1],
-            cols[0].copy())
+    return mags.max(axis=0) > zero_thresh, single, loc[0], loc[1], cols[0]
 
 
 def _first_pass(cols: np.ndarray, dims: Dims, zero_thresh: float):
-    """_ratio_scan's output, bit for bit, with the columns the ratio test
-    must call multi-tons settled by one magnitude test (see the module doc).
+    """_ratio_scan's output, bit for bit, with most columns settled by
+    whole-array tests (see the module doc).
 
-    A column is settled when its anchor is above the zero floor and a
+    A column whose anchor is above the zero floor is a multi-ton when a
     shifted chain's magnitude differs from the anchor's by more than
-    twice the residual tolerance; only the other columns go through the
-    loop.
+    twice the residual tolerance, and a singleton when the whole-array
+    ratio test passes it at half of each tolerance and twice the floor.
+    Only the other columns go through the loop: the zero-tons, and the
+    candidates within those margins of a tolerance.
     """
     mags = np.abs(_three_planes(cols, dims))
     mag = mags[0]
-    rest = np.flatnonzero(
-        (mag <= zero_thresh)
-        | (np.abs(mags - mag).max(axis=0) <= 2 * DEFAULT_TOL_RESIDUAL * mag))
+    loop = mag <= zero_thresh
+    near = np.flatnonzero(
+        ~loop
+        & (np.abs(mags - mag).max(axis=0) <= 2 * DEFAULT_TOL_RESIDUAL * mag))
     m = cols.shape[1]
     nonzero = np.ones(m, dtype=bool)
     single = np.zeros(m, dtype=bool)
     uu = np.zeros(m, dtype=np.int64)
     vv = np.zeros(m, dtype=np.int64)
+    _, sure, u, v, _ = _ratio_scan_whole(
+        cols[:, near], dims, 2 * zero_thresh, DEFAULT_TOL_ANGLE / 2,
+        DEFAULT_TOL_RESIDUAL / 2)
+    settled = near[sure]
+    single[settled], uu[settled], vv[settled] = True, u[sure], v[sure]
+    loop[near[~sure]] = True
+    rest = np.flatnonzero(loop)
     nonzero[rest], single[rest], uu[rest], vv[rest], _ = _ratio_scan(
         cols[:, rest], dims, zero_thresh)
-    return nonzero, single, uu, vv, cols[0].copy()
+    return nonzero, single, uu, vv, cols[0]
 
 
 def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
@@ -293,17 +325,18 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     """
     dims = plan.dims
     stages = plan.stages
-    ex, ey = unit_roots(dims.nx), unit_roots(dims.ny)
     lay = _peel_layout(dims, stages)
     offs, total = lay.offs, lay.offs[-1]
     row_bin, col_bin, stage_of = lay.row_bin, lay.col_bin, lay.stage_of
     flats = [stack.reshape(stack.shape[0], -1) for stack in stacks]
-    # a group is (si, base, columns, its stages' rows of a batch, layout)
+    # a group is (si, base, columns, its stages' rows of a batch, phase
+    # tables), its columns being global bins base on: the noiseless group
+    # holds every stage, from base 0, and its stages share one plane layout
     if plan.mode == MODE_NOISELESS:
         groups = [(None, 0, np.concatenate(flats, axis=1), slice(None),
-                   lay.layouts[0])]
+                   lay.roots[0])]
     else:
-        groups = [(si, offs[si], col, slice(si, si + 1), lay.layouts[si])
+        groups = [(si, offs[si], col, slice(si, si + 1), lay.roots[si])
                   for si, col in enumerate(flats)]
 
     nonzero = np.zeros(total, dtype=bool)
@@ -311,30 +344,42 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     uu = np.zeros(total, dtype=np.int64)
     vv = np.zeros(total, dtype=np.int64)
     vals = np.zeros(total, dtype=np.complex128)
+    # each stage's share of the classification
+    windows = [(single[a:b], uu[a:b], vv[a:b], vals[a:b])
+               for a, b in zip(offs, offs[1:])]
 
-    def classify_bins(group, idx):
-        si, base, col, _, _ = groups[group]
-        at = (np.arange(base, base + col.shape[1]) if isinstance(idx, slice)
-              else idx + base)
-        nz, sg, u, v, val = classify(si, idx, col[:, idx])
-        st = stage_of[at]
-        nonzero[at] = nz
-        # a singleton stands only if its location aliases into its own bin
-        single[at] = sg & (row_bin[st, u] + col_bin[st, v] == at)
-        uu[at], vv[at], vals[at] = u, v, val
+    def bins_of(u, v):
+        # the global bin of each location in every stage, one row per stage
+        at = row_bin.take(u, axis=1)
+        at += col_bin.take(v, axis=1)
+        return at
 
-    def subtract(pu, pv, pval):
-        # the batch's bin in every stage, one row per stage
-        at = row_bin[:, pu] + col_bin[:, pv]
-        for group, (_, base, col, rows, (s1, s2)) in enumerate(groups):
-            pos = at[rows] - base
-            w = pval * ex[s1 * pu % dims.nx] * ey[s2 * pv % dims.ny]
+    def classify_bins(group, idx, at):
+        si, _, col = groups[group][:3]
+        nonzero[at], single[at], uu[at], vv[at], vals[at] = classify(
+            si, idx, col if isinstance(idx, slice) else col.take(idx, axis=1))
+
+    def subtract(pu, pv, pval, at):
+        # the peels' bins are at = bins_of(pu, pv)
+        for group, (_, base, col, rows, (rx, ry)) in enumerate(groups):
+            # each plane's pval * exp(2j*pi*(s1*pu/nx + s2*pv/ny)) for its
+            # first chain's shifts
+            w = pval * rx.take(pu, axis=1)
+            w *= ry.take(pv, axis=1)
             # peels that share a bin are subtracted one after the other
-            np.subtract.at(col, (slice(None), pos), w[:, None])
-            classify_bins(group, pos.ravel())
+            pos = at[rows]
+            idx = pos - base if base else pos
+            np.subtract.at(col, (slice(None), idx), w[:, None])
+            classify_bins(group, idx.ravel(), pos.ravel())
 
-    for group in range(len(groups)):
-        classify_bins(group, slice(None))
+    for group, (_, base, col, _, _) in enumerate(groups):
+        classify_bins(group, slice(None), slice(base, base + col.shape[1]))
+    # a singleton stands only if its location aliases into the bin it came
+    # from: the first pass's are checked here, for its bin statistics, and
+    # a re-classified bin's when it is found
+    for si, (window, s_uu, s_vv, _) in enumerate(windows):
+        window &= (row_bin[si].take(s_uu) + col_bin[si].take(s_vv)
+                   == np.arange(offs[si], offs[si + 1]))
     # a bin's kind is 0, 1 or 2: nonzero + single, added as ints, since
     # two bool arrays add as a logical or
     kinds = nonzero.astype(np.intp) + single
@@ -348,26 +393,33 @@ def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,
     while True:
         rounds += 1
         progressed = False
-        for si, stage in enumerate(stages):
-            found = np.flatnonzero(single[offs[si]:offs[si + 1]])
+        for si, (window, s_uu, s_vv, s_vals) in enumerate(windows):
+            found = window.nonzero()[0]
             if not found.size:
                 continue
+            pu, pv = s_uu[found], s_vv[found]
+            at = bins_of(pu, pv)
+            stands = at[si] == found + offs[si]
+            if np.count_nonzero(stands) < found.size:
+                found, pu, pv, at = (found[stands], pu[stands], pv[stands],
+                                     at[:, stands])
+                if not found.size:
+                    continue
             progressed = True
-            at = found + offs[si]
-            pu, pv, pval = uu[at], vv[at], vals[at]
+            pval = s_vals[found]
             peels.append((pu, pv, pval))
             if trace is not None:
                 for b, u, v, value in zip(found.tolist(), pu.tolist(),
                                           pv.tolist(),
                                           (pval / unit).tolist()):
                     trace({"round": rounds, "stage": si,
-                           "bin": divmod(b, stage.bins_y),
+                           "bin": divmod(b, stages[si].bins_y),
                            "location": (u, v), "value": value})
-            subtract(pu, pv, pval)
+            subtract(pu, pv, pval, at)
         # a real peel drains (under noise, quiets) the bin it was detected
         # in, so genuine progress strictly shrinks the live-bin count; a
         # flat round is churn
-        live = int(nonzero.sum())
+        live = np.count_nonzero(nonzero)
         if not progressed or live >= prev_live:
             break
         prev_live = live
@@ -394,29 +446,42 @@ class _PeelLayout:
     col_bin[s, v] = v mod bins_y. It places a peel batch in every stage
     at once, and it checks that a singleton's location aliases back into
     the bin it came from. A plane holds its lattice's first chain:
-    layouts[s] holds the (s1, s2) shifts of stage s's first chains as
-    (planes, 1) columns.
+    roots[s] holds the phase tables of stage s's planes (_plane_roots),
+    which weigh a peel batch in every plane of the stage.
     """
 
     offs: list
     row_bin: np.ndarray
     col_bin: np.ndarray
     stage_of: np.ndarray
-    layouts: list
+    roots: list
+
+
+@lru_cache(maxsize=16)
+def _plane_roots(dims: Dims, lead) -> tuple:
+    """Phase tables of the planes whose first chains have shifts lead:
+    row g of the first holds exp(2j*pi*s1_g*u/nx) for every u, which is
+    unit_roots(nx) at s1_g * u mod nx, and the second likewise for s2
+    and v. Built once per lead, read-only."""
+    tables = []
+    for n, steps in zip((dims.nx, dims.ny), zip(*lead)):
+        rows = unit_roots(n).take(np.outer(steps, np.arange(n)), mode="wrap")
+        rows.flags.writeable = False
+        tables.append(rows)
+    return tuple(tables)
 
 
 @lru_cache(maxsize=16)
 def _peel_layout(dims: Dims, stages) -> _PeelLayout:
     counts = [st.bin_count for st in stages]
     offs = np.cumsum([0] + counts).tolist()
-    leads = [stage_lattices(dims, st).lead for st in stages]
     return _PeelLayout(
         offs,
         _frozen([off + np.arange(dims.nx) % st.bins_x * st.bins_y
                  for off, st in zip(offs, stages)]),
         _frozen([np.arange(dims.ny) % st.bins_y for st in stages]),
         _frozen(np.repeat(np.arange(len(stages)), counts)),
-        [_frozen(np.array(lead).T[:, :, None]) for lead in leads])
+        [_plane_roots(dims, stage_lattices(dims, st).lead) for st in stages])
 
 
 def _sum_peels(peels, dims: Dims, cut: float, unit: float):

@@ -299,6 +299,23 @@ def test_plan_json_round_trip_robust():
         "chains_per_dim", "reps", "noise_var", "seed"}
 
 
+def test_plan_json_round_trip_with_numpy_integers():
+    # Dims and RobustParams keep their integers as ints, so plans built
+    # from numpy integers write and read back like any other
+    plain = build_plan(Dims(np.int64(6), 6), [9, 4])
+    params = RobustParams(chains_per_dim=np.int32(1), reps=np.int64(3),
+                          seed=np.uint8(2))
+    robust = build_plan(Dims(60, np.int64(60)), [16, 9, 25],
+                        regime="very-sparse", mode="robust",
+                        robust_params=params)
+    assert type(plain.dims.nx) is int
+    assert [type(getattr(params, f)) for f in ("chains_per_dim", "reps",
+                                               "seed")] == [int] * 3
+    for plan in (plain, robust):
+        assert plan_from_json(plan_to_json(plan)) == plan
+    assert plan_from_json(plan_to_json(plain)).dims == Dims(6, 6)
+
+
 # a robust plan document as written while the classifier's slacks were
 # still plan parameters
 OLD_ROBUST_DOC = (

@@ -313,7 +313,9 @@ def test_first_pass_screen_edges(monkeypatch):
         0.7 * _weights(noiseless_shifts(dims), dims, 5, 11),
     ], dtype=complex).T
     want, handed = _first_pass_as_loop(monkeypatch, cols, dims, zt)
-    assert handed.tobytes() == cols[:, [0, 1, 3, 5, 8]].tobytes()
+    # the singleton is settled too: the loop gets the zero-tons and the
+    # candidates that fail the half-tolerance test
+    assert handed.tobytes() == cols[:, [0, 1, 3, 5]].tobytes()
     assert want[0].tolist() == [True] * 5 + [False] + [True] * 3
     assert want[1].tolist() == [False] * 8 + [True]
     assert (want[2][8], want[3][8]) == (5, 11)
@@ -323,7 +325,8 @@ def test_first_pass_screen_edges(monkeypatch):
 def test_first_pass_screen_on_a_one_row_or_one_column_grid(monkeypatch, nx,
                                                             ny):
     # the anchor stands in for the missing shifted chain; its gap is 0, so
-    # only the one shifted chain can settle a column
+    # only the one shifted chain can settle a column as a multi-ton, and
+    # the singleton is settled by the half-tolerance test
     dims = Dims(nx, ny)
     w = _weights(noiseless_shifts(dims), dims, 3 % nx, 7 % ny)
     a, r = _gap_at_screen_edge()
@@ -333,14 +336,14 @@ def test_first_pass_screen_on_a_one_row_or_one_column_grid(monkeypatch, nx,
                      [a, math.nextafter(r, 3)],   # one ulp above: settled
                      [0.0, 0.0]], dtype=complex).T
     want, handed = _first_pass_as_loop(monkeypatch, cols, dims, 1e-9)
-    assert handed.tobytes() == cols[:, [0, 2, 4]].tobytes()
+    assert handed.tobytes() == cols[:, [2, 4]].tobytes()
     assert want[1].tolist() == [True] + [False] * 4
 
 
 def test_first_pass_loop_sees_only_unsettled_columns(monkeypatch):
-    # on the pinned lsparse-280 seed-1 decode the screen settles all 3,213
-    # first-pass multi-tons; the loop gets the 1,106 zero-tons and 1,642
-    # singletons
+    # on the pinned lsparse-280 seed-1 decode the screens settle all 3,213
+    # first-pass multi-tons and all 1,642 singletons; the loop gets only
+    # the 1,106 zero-tons
     counts = []
     loop = peeler._ratio_scan
 
@@ -354,8 +357,98 @@ def test_first_pass_loop_sees_only_unsettled_columns(monkeypatch):
     report = decode(gen_instance(dims, 3821, seed=1).source, plan)
     assert report.status == STATUS_SUCCESS
     assert sum(plan.bin_counts) == 5961
-    assert counts[0] == 2748 == sum(
-        st[KIND_ZERO_TON] + st[KIND_SINGLETON] for st in report.bin_stats)
+    assert counts[0] == 1106 == sum(st[KIND_ZERO_TON]
+                                    for st in report.bin_stats)
+    assert sum(st[KIND_SINGLETON] for st in report.bin_stats) == 1642
+
+
+def _settled_by_screen(col, dims, zero_thresh):
+    # whether _first_pass settles this candidate column as a singleton: the
+    # whole-array test passes it at half of each tolerance and twice the
+    # floor
+    return bool(peeler._ratio_scan_whole(
+        np.asarray(col, dtype=complex)[:, None], dims, 2 * zero_thresh,
+        DEFAULT_TOL_ANGLE / 2, DEFAULT_TOL_RESIDUAL / 2)[1][0])
+
+
+def _straddle(settles, inside, outside):
+    # two adjacent positive floats between inside and outside, the first
+    # settling and the next not, by bisection over their bit patterns
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (inside, outside))
+    assert settles(inside) and not settles(outside)
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        if settles(float(np.int64(mid).view(np.float64))):
+            lo = mid
+        else:
+            hi = mid
+    return [float(np.int64(x).view(np.float64)) for x in (lo, hi)]
+
+
+def _residual_straddle(dims, axis):
+    # singletons at (0, 0) with value 1 whose shifted chain on `axis` is
+    # 1 + r: their residual r lies one ulp either side of half the
+    # residual tolerance
+    def col(r):
+        c = [1.0] * len(noiseless_shifts(dims))
+        c[axis] = r
+        return c
+
+    return [col(r) for r in _straddle(
+        lambda r: _settled_by_screen(col(r), dims, 1e-9),
+        1 + 0.8 * DEFAULT_TOL_RESIDUAL / 2, 1 + 1.2 * DEFAULT_TOL_RESIDUAL / 2)]
+
+
+def test_first_pass_screen_half_tolerance_margins(monkeypatch):
+    # candidates one ulp inside each margin of the half-tolerance test are
+    # settled, those one ulp outside go to the loop, and the loop, at full
+    # tolerance, calls every one a singleton at the same location
+    dims = Dims(12, 18)
+    zt = 1e-9
+    cols = _residual_straddle(dims, 1) + _residual_straddle(dims, 2)
+    # an anchor at twice the floor, and one ulp above it
+    cols += [[a] * 3 for a in (2 * zt, math.nextafter(2 * zt, 1))]
+    cols = np.array(cols, dtype=complex).T
+    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, zt)
+    assert handed.tobytes() == cols[:, [1, 3, 4]].tobytes()
+    assert want[1].all()
+    assert not want[2].any() and not want[3].any()
+
+
+def test_first_pass_screen_angle_margins(monkeypatch):
+    # on a long axis a phase off its location by a quarter of the angle
+    # tolerance still passes the half-tolerance residual test, so the angle
+    # estimate's margin decides: one ulp inside it on either side settles
+    # the column, one ulp outside hands it to the loop
+    n, v = 360_000, 1234
+    dims = Dims(1, n)
+
+    def phase(off):
+        return 2 * math.pi * (v + off) / n
+
+    cols = []
+    for side in (1, -1):
+        re = math.cos(phase(side * DEFAULT_TOL_ANGLE / 2))
+        cols += [[1.0, complex(re, im)] for im in _straddle(
+            lambda im: _settled_by_screen([1.0, complex(re, im)], dims, 1e-9),
+            math.sin(phase(side * 0.8 * DEFAULT_TOL_ANGLE / 2)),
+            math.sin(phase(side * 1.2 * DEFAULT_TOL_ANGLE / 2)))]
+    cols = np.array(cols, dtype=complex).T
+    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, 1e-9)
+    assert handed.tobytes() == cols[:, [1, 3]].tobytes()
+    assert want[1].all() and (want[3] == v).all()
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 31), (31, 1)])
+def test_first_pass_screen_margin_on_a_one_row_or_one_column_grid(
+        monkeypatch, nx, ny):
+    # the one shifted chain's residual decides, one ulp either side of the
+    # margin; the anchor standing in for the other chain passes
+    dims = Dims(nx, ny)
+    cols = np.array(_residual_straddle(dims, 1), dtype=complex).T
+    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, 1e-9)
+    assert handed.tobytes() == cols[:, [1]].tobytes()
+    assert want[1].all()
 
 
 def test_unit_roots_hold_cmath_exp_values():
