@@ -11,13 +11,17 @@ the rounds alternate which tree goes first:
   python3 bench/ab.py --parent ../parent/src --workload robust-280
   python3 bench/ab.py --parent ../parent/src --change src --workload all \\
       --rounds 30 --seed 3
+  python3 bench/ab.py --parent ../parent/src --workload robust-280 --lift-trim
 
 For each workload it prints each tree's median decode time, taken over
 the rounds of each round's mean, since one decode's time depends on its
 instance and a median over all decodes can fall between the instances'
 clusters; the median over rounds of the change/parent ratio of the two
 trees' round means; the rounds each tree won (the lower round mean); and
-each tree's correct and failed decodes.
+each tree's correct and failed decodes. --lift-trim first allocates and
+frees a 2 MB array, which raises glibc's mmap and trim thresholds above
+it (as bench/faults.py --lift-trim does), so neither tree's decodes fault
+their memory back in and the ratio compares the computation alone.
 """
 
 from __future__ import annotations
@@ -124,9 +128,15 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1,
                         help="perfbench's set-up seed")
+    parser.add_argument("--lift-trim", action="store_true",
+                        help="free a 2 MB array first, so glibc keeps the "
+                             "decodes' memory")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.lift_trim:
+        import numpy as np
+        np.ones(1 << 21, dtype=np.uint8)
     names = WORKLOADS if args.workload == "all" else [args.workload]
     for name in names:
         ab(args.parent.resolve(), args.change.resolve(), name, args.rounds,

@@ -34,14 +34,20 @@ as read by each lead: each block is its lattice's plane and fills it
 straight from the reshaped grid. A read that returns any other shape is
 refused. The (lattices, bins_x, bins_y) stack is then transformed in
 place, one axis at a time: fft2's own two steps, without its per-call
-set-up.
+set-up. All the stages' stacks are views of one buffer, allocated once
+per decode: the largest single allocation a decode frees sets glibc's
+heap trim threshold (twice its size), and one buffer for the stacks
+lifts it above a robust decode's whole transient memory, so the heap is
+kept between decodes rather than handed back and faulted in again.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -171,11 +177,14 @@ def distinct_cells(dims: Dims, stages: tuple[StageConfig, ...]) -> int:
     return int(np.count_nonzero(rows_read, axis=1) @ widths)
 
 
-def stage_observations(source, dims: Dims, stage: StageConfig) -> np.ndarray:
-    """The stage's aliased spectra, one per lattice: (lattices, bins_x, bins_y)."""
+def stage_observations(source, dims: Dims, stage: StageConfig,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """The stage's aliased spectra, one per lattice: (lattices, bins_x, bins_y),
+    written into out when given."""
     lat = stage_lattices(dims, stage)
     bx, by = stage.bins_x, stage.bins_y
-    out = np.empty((len(lat.lead), bx, by), dtype=np.complex128)
+    if out is None:
+        out = np.empty((len(lat.lead), bx, by), dtype=np.complex128)
     for rows, cols, by_column, planes in lat.reads:
         grid = source.sample_grid(rows, cols)
         blocks = len(planes)
@@ -186,6 +195,7 @@ def stage_observations(source, dims: Dims, stage: StageConfig) -> np.ndarray:
                                 % (len(rows), len(cols), grid.shape, shape))
         out[planes] = (grid.reshape(blocks, bx, by) if by_column else
                        grid.reshape(bx, blocks, by).transpose(1, 0, 2))
+        del grid                  # freed before the next read, not after
     # a NaN or infinite sample spreads to its whole plane, and a plane of
     # finite samples near the float maximum can overflow: one check after
     # the FFT refuses both
@@ -208,5 +218,12 @@ def run_frontend(plan: FfastPlan, source) -> list[np.ndarray]:
     if source.dims != plan.dims:
         raise ShapeMismatch("source grid %s does not match plan grid %s"
                             % (source.dims, plan.dims))
-    return [stage_observations(source, plan.dims, stage)
-            for stage in plan.stages]
+    shapes = [(len(stage_lattices(plan.dims, stage).lead), stage.bins_x,
+               stage.bins_y) for stage in plan.stages]
+    ends = list(accumulate((math.prod(shape) for shape in shapes),
+                           initial=0))
+    buf = np.empty(ends[-1], dtype=np.complex128)
+    return [stage_observations(source, plan.dims, stage,
+                               buf[a:b].reshape(shape))
+            for stage, a, b, shape in zip(plan.stages, ends, ends[1:],
+                                          shapes)]

@@ -17,7 +17,11 @@ sample, which keeps grids like 2520x2520 virtual. Its phases come from
 exact unit-root tables. A grid read of at most DIRECT_SYNTHESIS_MAX
 (2^16) rows x cols x k terms is one matrix product of row and column
 phases; a larger read of full progressions, as the front end makes them,
-is folded onto its bin grid and inverse transformed.
+is folded onto its bin grid, which is the grid it returns, and inverse
+transformed in place. Every read returns a new array that its caller may
+write: the noisy source adds its noise into the inner read's grid in
+place, NOISE_BLOCK cells at a time, so a read holds little beyond its
+grid.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class SignalSource:
     returns _grid's result as it is: a read with repeats is charged them
     but returns each distinct cell once. No map from the requested
     indices to the returned ones is kept; first-seen order alone places
-    a repeated index.
+    a repeated index. A read returns a new array, sharing no memory with
+    the source, that the caller may write.
     """
 
     def __init__(self, dims: Dims):
@@ -180,7 +185,7 @@ class ExponentialSumSource(SignalSource):
     requested spatial samples. Any other read is synthesized directly.
 
     The coefficients are held in sorted (u, v) order, whatever order the
-    spectrum's entries were inserted in: the fold's bincount sums in that
+    spectrum's entries were inserted in: the fold sums each cell in that
     order, so equal spectra give bit-identical samples.
     """
 
@@ -232,16 +237,27 @@ class ExponentialSumSource(SignalSource):
         """A read of full progressions of lengths bx and by, by folding."""
         er, ec = self._phases(rows[::bx], cols[::by])
         w = self._vals * er[:, None, :] * ec[None, :, :]
-        # fold every (row run, column run) pair with one flat bincount
-        runs = w.shape[0] * w.shape[1]
-        cell = (self._u % bx) * by + self._v % by
-        flat = (np.arange(runs)[:, None] * (bx * by) + cell).ravel()
-        folded = np.empty(runs * bx * by, dtype=np.complex128)
-        folded.real = np.bincount(flat, w.real.ravel(), len(folded))
-        folded.imag = np.bincount(flat, w.imag.ravel(), len(folded))
-        folded = folded.reshape(w.shape[0], w.shape[1], bx, by)
-        grid = np.fft.ifft2(folded) * (bx * by)
-        return grid.transpose(0, 2, 1, 3).reshape(len(rows), len(cols))
+        nr, nc = w.shape[:2]
+        # the read's grid, viewed as (row run, bin row, column run, bin
+        # column), is the fold's buffer: one add.at into it, zeroed, folds
+        # every pair of runs and sums each cell in coefficient order
+        flat = ((np.arange(nr)[:, None, None] * bx + self._u % bx) * nc
+                + np.arange(nc)[:, None]) * by + self._v % by
+        grid = np.zeros((nr * bx, nc * by), dtype=np.complex128)
+        np.add.at(grid.reshape(-1), flat.ravel(), w.ravel())
+        # ifft2 over each (bx, by) block as its two 1-D steps, last axis
+        # first, each in place (ifft2 itself takes no out=), then the
+        # scale: the values are ifft2's bit for bit
+        blocks = grid.reshape(nr, bx, nc, by)
+        np.fft.ifft(blocks, axis=3, out=blocks)
+        np.fft.ifft(blocks, axis=1, out=blocks)
+        grid *= bx * by
+        return grid
+
+
+# a noisy grid read draws its noise this many cells at a time, so its
+# temporaries stay small however large the grid
+NOISE_BLOCK = 4096
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -260,7 +276,7 @@ def _noise_at(seed: int, flat: np.ndarray, sigma2: float) -> np.ndarray:
 
     Index i hashes 2i + 1 and 2i + 2 (plus the seed's base) into two
     uniforms, a magnitude and a phase (Box-Muller). Both hashes share one
-    buffer and every step runs in place.
+    buffer, which then holds the result, and every step runs in place.
     """
     base = np.uint64((seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
     h = np.empty((2,) + flat.shape, dtype=np.uint64)
@@ -279,7 +295,8 @@ def _noise_at(seed: int, flat: np.ndarray, sigma2: float) -> np.ndarray:
     mag *= -sigma2
     np.sqrt(mag, out=mag)
     phase *= 2 * np.pi
-    out = np.empty(flat.shape, dtype=np.complex128)
+    # the hashes are spent: their buffer, 16 bytes per index, holds the result
+    out = h.reshape(-1).view(np.complex128).reshape(flat.shape)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     out.real *= mag
@@ -293,7 +310,11 @@ class NoisySource(SignalSource):
     The noise is a pure function of (seed, a, b): re-reading a cell returns
     the identical value, with no per-cell state kept anywhere. Reads go
     through sample_grid, so a grid read charges the inner source, and
-    draws noise, for its distinct cells only.
+    draws noise, for its distinct cells only. A grid read draws its noise
+    NOISE_BLOCK cells at a time and adds each block in place into the
+    grid the inner read returned, which is this read's own (the
+    SignalSource contract), so it holds about one grid plus one block,
+    not a noise field and a sum as large as the grid.
 
     The source owns the rules on its inputs: sigma2 must be finite and
     >= 0, so a NaN, negative or infinite variance raises ValueError, and
@@ -314,11 +335,20 @@ class NoisySource(SignalSource):
         return aa * self.dims.ny + bb
 
     def _grid(self, rows, cols):
-        clean = self.inner.sample_grid(rows, cols)
-        if self.sigma2 == 0:
-            return clean
-        flat = self._flat(rows[:, None], cols[None, :])
-        return clean + _noise_at(self.seed, flat, self.sigma2)
+        grid = self.inner.sample_grid(rows, cols)
+        if self.sigma2 == 0 or grid.size == 0:
+            return grid
+        # the inner read is this read's own array: add the noise into it
+        # at most NOISE_BLOCK cells at a time, in whole rows, or in pieces
+        # of a row longer than that
+        step = max(1, NOISE_BLOCK // len(cols))
+        for r in range(0, len(rows), step):
+            for c in range(0, len(cols), NOISE_BLOCK):
+                block = grid[r:r + step, c:c + NOISE_BLOCK]
+                block += _noise_at(self.seed, self._flat(
+                    rows[r:r + step, None], cols[None, c:c + NOISE_BLOCK]),
+                    self.sigma2)
+        return grid
 
     def _points(self, aa, bb):
         clean = self.inner.sample_points(aa, bb)

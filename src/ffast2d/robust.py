@@ -22,17 +22,24 @@ majority answer whenever a strict majority agrees.
 
 The offsets are drawn modulo the grid size, not the stage period, so a
 stage's chains sit on few distinct lattices: n_g chains on lattice g.
-The front end keeps one plane per lattice; the classifier tests a bin's
-energy on the planes and derives the chains of a live bin from them by
-a phase ramp, both read from the front end's lattice table
-(frontend.stage_lattices). Chains on one lattice carry one noise draw, so
+The front end keeps one plane per lattice, and chain c is its plane g
+times a phase ramp (frontend.stage_lattices). The classifier never
+expands a column to its chains. For a location (u, v) in bin (i, j),
+chain c's weight w_c is w_g, the weight at its lattice's lead shift,
+times that same ramp, so conj(w_c) y_c = conj(w_g) y_g exactly, and
+|y_c - value w_c| = |y_g - value w_g|. The least-squares value over all
+C chains is therefore sum_g n_g conj(w_g) y_g / C and the residual
+sum_g n_g |y_g - value w_g|^2: a fit on the 9-15 planes, not on 181
+chains. A ladder pair's phase difference is that of its two planes plus
+the exact difference of its two ramps, a fraction of a turn taken
+modulo the bin grid. Chains on one lattice carry one noise draw, so
 the energy and value thresholds against the per-bin noise variance
 sigma2/B are sized by the multiplicities n_g, not by the chain count
-alone (see _energy_test and _fit). A lone vector (robust_classify) has
-independent chains and goes to the same energy test and the same fit.
+alone (see _energy_test and _fit). A lone vector (robust_classify) is
+the case of one chain per plane and no ramp, and goes to the same
+energy test and the same fit.
 
-Each axis's ladder reads its pairs as two strided views of the chain
-axis, ys[a:b:2] and ys[a + 1:b:2], with [a, b) from core._robust_span,
+Each axis's ladder reads its pairs in the order of core._robust_span,
 the pair order design_shifts and check_robust_layout also follow. The
 value estimate is least squares across all chains rather than the anchor
 alone. At sigma2 = 0 the classifier finds the same singletons as the
@@ -58,16 +65,14 @@ from .roots import unit_roots
 VALUE_SIGMAS = 4.0
 
 
-def _ladder_decode(ys: np.ndarray, n: int, span: tuple[int, int],
-                   reps: int) -> np.ndarray:
-    """Integer indices in [0, n) from the phase differences of the pairs in
-    chains span = [a, b) (core._robust_span), shape (m,) for (C, m) ys."""
-    a, b = span
-    levels = (b - a) // (2 * reps)
+def _ladder_decode(turns: np.ndarray, n: int, reps: int) -> np.ndarray:
+    """Integer indices in [0, n), shape (m,), from one axis's ladder: turns
+    holds each of its pairs' phase differences in turns, in [0, 1), shape
+    (levels * reps, m) in pair order (core._robust_span)."""
+    levels = len(turns) // reps
     if levels == 0:
-        return np.zeros(ys.shape[1], dtype=np.int64)
-    frac = (np.angle(ys[a + 1:b:2] * np.conj(ys[a:b:2])) / (2 * np.pi)
-            % 1.0).reshape(levels, reps, ys.shape[1])
+        return np.zeros(turns.shape[1], dtype=np.int64)
+    frac = turns.reshape(levels, reps, turns.shape[1])
     est = frac[0]
     for j in range(1, levels):
         whole = np.rint(est * (1 << j) - frac[j])
@@ -90,29 +95,50 @@ def _energy_test(energy, n: int, spread: float, sigma2: float,
                      + n * zero_thresh ** 2)
 
 
-def _fit(ys: np.ndarray, shifts: np.ndarray, dims: Dims,
-         params: RobustParams, sigma2: float, spread: float,
-         zero_thresh: float):
+def _fit(planes: np.ndarray, sizes: np.ndarray, lead: np.ndarray,
+         turns: np.ndarray, dims: Dims, params: RobustParams, sigma2: float,
+         spread: float, zero_thresh: float):
     """Singleton test, location and least-squares value per column of the
-    (C, m) chain columns ys; shifts is the (C, 2) chain shift array.
+    (G, m) plane columns `planes`.
 
-    A singleton's fit residual may reach (1 + GAMMA_SINGLE) C sigma2, and
-    its value, whose variance is sigma2 spread / C^2, must stand
-    VALUE_SIGMAS deviations above zero.
+    Plane g stands for sizes[g] chains and holds what the chain at shift
+    lead[g] reads (lead is (G, 2)); turns is (P, m), each ladder pair's
+    phase difference in turns, in [0, 1), pairs in chain order. For a location
+    in its own bin every chain on plane g gives conj(w_c) y_c =
+    conj(w_g) y_g and |y_c - value w_c| = |y_g - value w_g|, so the fit
+    over C chains is a sizes-weighted fit over the planes. A singleton's
+    residual may reach (1 + GAMMA_SINGLE) C sigma2, and its value, whose
+    variance is sigma2 spread / C^2, must stand VALUE_SIGMAS deviations
+    above zero.
     """
-    n = ys.shape[0]
-    uu, vv = (_ladder_decode(ys, size, _robust_span(dims, params, axis),
-                             params.pairs_per_level)
-              for axis, size in enumerate((dims.nx, dims.ny)))
-    w = (unit_roots(dims.nx)[shifts[:, :1] * uu % dims.nx]
-         * unit_roots(dims.ny)[shifts[:, 1:] * vv % dims.ny])
-    vals = (np.conj(w) * ys).sum(axis=0) / n
-    resid = (np.abs(ys - vals[None, :] * w) ** 2).sum(axis=0)
+    n = int(sizes.sum())
+    reps = params.pairs_per_level
+    # pair p is chains 2p + 1 and 2p + 2, so chains [a, b) are pairs
+    # [a // 2, b // 2)
+    uu, vv = (_ladder_decode(turns[a // 2:b // 2], size, reps)
+              for axis, size in enumerate((dims.nx, dims.ny))
+              for a, b in [_robust_span(dims, params, axis)])
+    w = (unit_roots(dims.nx)[lead[:, :1] * uu % dims.nx]
+         * unit_roots(dims.ny)[lead[:, 1:] * vv % dims.ny])
+    weight = sizes[:, None]
+    vals = (np.conj(w) * planes * weight).sum(axis=0) / n
+    resid = (_squared(np.abs(planes - vals * w)) * weight).sum(axis=0)
     single = ((resid <= (1 + GAMMA_SINGLE) * n * sigma2 + n * zero_thresh ** 2)
               & (np.abs(vals) > zero_thresh)
               & (np.abs(vals) ** 2 > VALUE_SIGMAS ** 2 * sigma2 * spread
                  / n ** 2))
     return single, uu, vv, vals
+
+
+def _squared(x: np.ndarray) -> np.ndarray:
+    """x squared in place."""
+    x *= x
+    return x
+
+
+def _turns(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The phase of second * conj(first) in turns, in [-1/2, 1/2]."""
+    return np.angle(second * np.conj(first)) / (2 * np.pi)
 
 
 def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
@@ -137,7 +163,8 @@ def robust_classify(obs: BinObservation, dims: Dims, params: RobustParams,
     zero_thresh = observation_zero_threshold([ys])
     nonzero = _energy_test((np.abs(ys) ** 2).sum(axis=0), n, n,
                            params.noise_var, zero_thresh)
-    fit = _fit(ys, np.asarray(shifts, dtype=np.int64), dims, params,
+    fit = _fit(ys, np.ones(n), np.asarray(shifts, dtype=np.int64),
+               _turns(ys[1::2], ys[2::2]) % 1.0, dims, params,
                params.noise_var, n, zero_thresh)
     return BinClass.from_scan((nonzero,) + fit)
 
@@ -148,30 +175,48 @@ def robust_classifier(plan: FfastPlan, zero_thresh: float, unit: float):
 
     Stage si's chain c is plane inv[c] of its lattice table
     (frontend.stage_lattices) times a phase ramp of dq[c] lattice steps
-    over the bin grid. The energy test runs on the planes; only the live
-    columns are expanded to chains and fitted.
+    over the bin grid. The energy test and the fit both run on the
+    planes, weighted by the chains on each (lattice sizes); no column is
+    expanded to its chains, since for a location in its own bin the ramp
+    cancels from every chain's term of the fit (module docstring). A
+    ladder pair's phase difference is that of its two chains' planes,
+    taken once per distinct pair of planes, plus the exact difference of
+    their ramps, ((dq' - dq)_x i mod bins_x) / bins_x + ((dq' - dq)_y j
+    mod bins_y) / bins_y turns at bin (i, j).
     """
     params, dims = plan.robust_params, plan.dims
     lattices = [stage_lattices(dims, s) for s in plan.stages]
     spreads = [float(lat.sizes @ lat.sizes) for lat in lattices]
     sigma2_obs = [params.noise_var / s.bin_count * unit * unit
                   for s in plan.stages]
+    leads = [np.asarray(lat.lead, dtype=np.int64) for lat in lattices]
+    # each ladder pair's two planes, as one of the stage's distinct plane
+    # pairs, and the difference of its two chains' ramps
+    ladders = []
+    for lat in lattices:
+        both, pair_of = np.unique(lat.inv[1::2] * len(lat.lead)
+                                  + lat.inv[2::2], return_inverse=True)
+        ladders.append((np.divmod(both, len(lat.lead)), pair_of,
+                        lat.dq[2::2] - lat.dq[1::2]))
 
     def classify(si, idx, cols):
         lat, stage, sigma2 = lattices[si], plan.stages[si], sigma2_obs[si]
-        nonzero = _energy_test(lat.sizes @ (np.abs(cols) ** 2), len(lat.inv),
-                               spreads[si], sigma2, zero_thresh)
+        nonzero = _energy_test(lat.sizes @ _squared(np.abs(cols)),
+                               len(lat.inv), spreads[si], sigma2, zero_thresh)
         single, uu, vv, vals = (np.zeros(cols.shape[1], dtype=t) for t in
                                 (bool, np.int64, np.int64, np.complex128))
         live = np.flatnonzero(nonzero)
         if live.size:
             bx, by = stage.bins_x, stage.bins_y
             i, j = np.divmod(np.arange(stage.bin_count)[idx][live], by)
-            ramp = (unit_roots(bx)[lat.dq[:, :1] * i % bx]
-                    * unit_roots(by)[lat.dq[:, 1:] * j % by])
+            both, pair_of, dq = ladders[si]
+            planes = cols[:, live]
+            turns = _turns(planes[both[0]], planes[both[1]])[pair_of]
+            turns += dq[:, :1] * i % bx / bx + dq[:, 1:] * j % by / by
+            turns %= 1.0
             single[live], uu[live], vv[live], vals[live] = _fit(
-                cols[:, live][lat.inv] * ramp, lat.shifts, dims, params,
-                sigma2, spreads[si], zero_thresh)
+                planes, lat.sizes, leads[si], turns, dims, params, sigma2,
+                spreads[si], zero_thresh)
         return nonzero, single, uu, vv, vals
 
     return classify

@@ -124,6 +124,13 @@ def test_run_frontend_sample_accounting():
     stacks = run_frontend(plan, src)
     assert src.access_count == 39
     assert [s.shape for s in stacks] == [(3, 2, 2), (3, 3, 3)]
+    # the stacks are back-to-back views of one buffer, each its own
+    # stage_observations result
+    assert stacks[0].base is stacks[1].base is not None
+    assert stacks[0].base.size == 12 + 27
+    for stack, stage in zip(stacks, plan.stages):
+        assert np.array_equal(stack, stage_observations(
+            _worked_source()[0], plan.dims, stage))
 
 
 def test_run_frontend_rejects_wrong_grid():

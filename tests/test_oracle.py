@@ -1,12 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ffast2d.core import (Constellation, Dims, PlanError, SparseSpectrum,
                           StageConfig)
-from ffast2d.oracle import (DIRECT_SYNTHESIS_MAX, ArraySource,
+from ffast2d.oracle import (DIRECT_SYNTHESIS_MAX, NOISE_BLOCK, ArraySource,
                             ExponentialSumSource, KTooLarge, NoisySource,
                             SignalSource, _first_seen, _noise_at,
                             _progression_length, alias_sum_oracle,
@@ -467,6 +468,105 @@ def test_noise_is_deterministic_per_cell():
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
             assert grid[i, j] == noisy.sample_points([a], [b])[0]
+
+
+@pytest.mark.parametrize("shape,rows,cols", [
+    # more than one block of whole rows, and a last partial block
+    ((512, 512), np.arange(512), np.arange(512)),
+    # one row, and one column, longer than a block
+    ((1, 3 * NOISE_BLOCK + 5), np.arange(1), np.arange(3 * NOISE_BLOCK + 5)),
+    ((3 * NOISE_BLOCK + 5, 1), np.arange(3 * NOISE_BLOCK + 5), np.arange(1)),
+    # a few rows of a long row each, with repeats and strides
+    ((3, 2 * NOISE_BLOCK), np.array([2, 0, 2]),
+     np.arange(0, 2 * NOISE_BLOCK, 3)),
+    # nothing read
+    ((8, 8), np.arange(0), np.arange(8)),
+    ((8, 8), np.arange(8), np.arange(0)),
+], ids=["512x512", "long-row", "long-column", "repeats", "no-rows",
+        "no-cols"])
+def test_noisy_grid_adds_its_noise_in_blocks_bit_for_bit(shape, rows, cols):
+    # the blocks add each cell's noise in place, as one whole-grid sum did
+    rng = np.random.default_rng(3)
+    signal = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    noisy = NoisySource(ArraySource(signal), sigma2=0.7, seed=11)
+    got = noisy.sample_grid(rows, cols)
+    r, c = _first_seen(rows, shape[0]), _first_seen(cols, shape[1])
+    want = signal[np.ix_(r, c)] + _noise_at(
+        11, r[:, None] * shape[1] + c[None, :], 0.7)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    assert noisy.access_count == len(rows) * len(cols)
+
+
+def _read_peak(source, rows, cols) -> tuple:
+    """A grid read's result and the most memory it held, in bytes."""
+    source.sample_grid(rows, cols)            # caches and tables warm
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grid = source.sample_grid(rows, cols)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return grid, peak
+
+
+def test_noisy_read_of_an_array_holds_little_beyond_its_grid():
+    # the gather is the grid; the noise goes into it a block at a time
+    # (the whole-grid noise field held 4.5 times the grid)
+    rng = np.random.default_rng(5)
+    signal = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
+    noisy = NoisySource(ArraySource(signal), sigma2=1.0, seed=2)
+    grid, peak = _read_peak(noisy, np.arange(512), np.arange(512))
+    assert peak <= 1.25 * grid.nbytes
+
+
+def test_noisy_read_of_the_lazy_source_holds_little_beyond_its_grid():
+    # criterion 8's stage-0 read of 280 x 56 cells (5,992 rows charged):
+    # the fold sums into the grid it returns and transforms it in place
+    from ffast2d.core import RobustParams, build_plan
+    from ffast2d.frontend import stage_lattices
+
+    dims = Dims(280, 280)
+    plan = build_plan(dims, [25, 64, 49], "less-sparse", mode="robust",
+                      robust_params=RobustParams(1, 5, 1.0, 8))
+    rows, cols = stage_lattices(dims, plan.stages[0]).reads[0][:2]
+    rho = 10 ** 1.3 / Constellation(1.0, 2, 8).mean_power()
+    inst = gen_instance(dims, 50, Constellation(rho, 2, 8), seed=900)
+    grid, peak = _read_peak(NoisySource(inst.source, 1.0, seed=0), rows,
+                            cols)
+    assert grid.shape == (280, 56)
+    assert peak <= 2 * grid.nbytes
+
+
+def test_reads_share_no_memory_with_their_source():
+    # a read is the caller's to write: NoisySource adds into it in place
+    from ffast2d.crt import DiagonalView
+
+    dims = Dims(60, 60)
+    truth = _random_spectrum(dims, 40, np.random.default_rng(8))
+    signal = synthesize_dense(truth)
+    kept = signal.copy()
+    array = ArraySource(signal)
+    lazy = ExponentialSumSource(truth)
+    full, some = np.arange(60), np.array([3, 7, 7, 11])
+    reads = [(array, full, full), (array, some, some),
+             (lazy, full, full), (lazy, some, some)]
+    for inner in (array, lazy):
+        noisy = NoisySource(inner, sigma2=1.0, seed=4)
+        reads += [(noisy, full, full), (noisy, some, full)]
+    view = DiagonalView(ExponentialSumSource(SparseSpectrum.from_entries(
+        Dims(4, 9), {(1, 2): 1.0})))
+    reads += [(view, np.arange(1), np.arange(36))]
+    storage = [signal, lazy._u, lazy._v, lazy._vals, lazy._rx, lazy._ry,
+               view.inner._vals, view.inner._rx, view.inner._ry]
+    for source, rows, cols in reads:
+        grid = source.sample_grid(rows, cols)
+        assert grid.flags.writeable
+        assert not any(np.shares_memory(grid, kept_array)
+                       for kept_array in storage)
+    assert np.array_equal(signal, kept)
 
 
 def test_noise_differs_across_seeds():

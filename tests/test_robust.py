@@ -13,7 +13,11 @@ from ffast2d.oracle import (ArraySource, ExponentialSumSource, NoisySource,
 from ffast2d.peeler import (KIND_MULTI_TON, KIND_SINGLETON, KIND_ZERO_TON,
                             BinClass, _ratio_scan, decode)
 from ffast2d import peeler
-from ffast2d.robust import (_ladder_decode, design_shifts, robust_classify,
+from ffast2d import robust
+from ffast2d.core import GAMMA_SINGLE
+from ffast2d.roots import unit_roots
+from ffast2d.robust import (VALUE_SIGMAS, _energy_test, _ladder_decode,
+                            _turns, design_shifts, robust_classify,
                             robust_decode)
 
 
@@ -481,8 +485,10 @@ def _check_ladders(plan, source):
             ramp = np.exp(2j * np.pi * (lat.dq[:, :1] * i / stage.bins_x
                                         + lat.dq[:, 1:] * j / stage.bins_y))
             ys = cols[:, sel][lat.inv] * ramp
+            turns = _turns(ys[1::2], ys[2::2]) % 1.0
             for axis, n in enumerate((dims.nx, dims.ny)):
-                got = _ladder_decode(ys, n, _robust_span(dims, params, axis),
+                a, b = _robust_span(dims, params, axis)
+                got = _ladder_decode(turns[a // 2:b // 2], n,
                                      params.pairs_per_level)
                 want = _ladder_decode_per_pair_reference(ys, dims, params,
                                                          axis)
@@ -498,3 +504,126 @@ def test_ladder_decode_matches_per_pair_reference():
                        (Dims(182, 1), 1), (Dims(182, 1), 3),
                        (Dims(182, 1), 5)):
         _check_ladders(*_ladder_plan(dims, reps))
+
+
+def _chain_fit_reference(ys, shifts, dims, params, sigma2, spread,
+                         zero_thresh):
+    # the fit over every chain that the plane fit replaced, kept as the
+    # oracle: ys is (C, m) chain columns and shifts the (C, 2) chain shifts
+    n = ys.shape[0]
+    uu, vv = (_ladder_decode_per_pair_reference(ys, dims, params, axis)
+              for axis in (0, 1))
+    w = (unit_roots(dims.nx)[shifts[:, :1] * uu % dims.nx]
+         * unit_roots(dims.ny)[shifts[:, 1:] * vv % dims.ny])
+    vals = (np.conj(w) * ys).sum(axis=0) / n
+    resid = (np.abs(ys - vals[None, :] * w) ** 2).sum(axis=0)
+    single = ((resid <= (1 + GAMMA_SINGLE) * n * sigma2 + n * zero_thresh ** 2)
+              & (np.abs(vals) > zero_thresh)
+              & (np.abs(vals) ** 2 > VALUE_SIGMAS ** 2 * sigma2 * spread
+                 / n ** 2))
+    return single, uu, vv, vals
+
+
+def _captured_classifications(monkeypatch, plan, sources):
+    # every classifier call of the decodes: its stage, bins and a copy of
+    # its plane columns, the decode's scale and floor, and its result
+    calls = []
+    build = robust.robust_classifier
+
+    def recording_classifier(plan, zero_thresh, unit):
+        classify = build(plan, zero_thresh, unit)
+
+        def recorded(si, idx, cols):
+            out = classify(si, idx, cols)
+            calls.append((si, idx, cols.copy(), zero_thresh, unit, out))
+            return out
+        return recorded
+
+    monkeypatch.setattr(robust, "robust_classifier", recording_classifier)
+    for source in sources:
+        robust_decode(source, plan)
+    return calls
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 0.0])
+def test_plane_fit_matches_the_chain_fit(monkeypatch, sigma2):
+    # criterion 8's plan and instances: the classifier fits the 9-15
+    # planes of each stage, and must find what the fit over all 181
+    # chain-expanded columns finds
+    _, model, _ = _criterion_8_setup()
+    params = RobustParams(chains_per_dim=1, reps=5, noise_var=sigma2, seed=8)
+    plan = build_plan(Dims(280, 280), [25, 64, 49], "less-sparse",
+                      mode="robust", robust_params=params)
+    dims = plan.dims
+    sources = [gen_instance(dims, 50, model, seed=900 + i).source
+               for i in range(3)]
+    if sigma2:
+        sources = [NoisySource(src, sigma2, seed=i)
+                   for i, src in enumerate(sources)]
+    calls = _captured_classifications(monkeypatch, plan, sources)
+    fitted = singles = 0
+    for si, idx, cols, zero_thresh, unit, got in calls:
+        stage = plan.stages[si]
+        lat = stage_lattices(dims, stage)
+        nonzero, single, uu, vv, vals = got
+        spread = float(lat.sizes @ lat.sizes)
+        noise = sigma2 / stage.bin_count * unit * unit
+        assert np.array_equal(nonzero, _energy_test(
+            lat.sizes @ np.abs(cols) ** 2, len(lat.inv), spread, noise,
+            zero_thresh))
+        live = np.flatnonzero(nonzero)
+        i, j = np.divmod(np.arange(stage.bin_count)[idx][live],
+                         stage.bins_y)
+        ramp = (unit_roots(stage.bins_x)[lat.dq[:, :1] * i % stage.bins_x]
+                * unit_roots(stage.bins_y)[lat.dq[:, 1:] * j % stage.bins_y])
+        ref = _chain_fit_reference(cols[:, live][lat.inv] * ramp, lat.shifts,
+                                   dims, params, noise, spread, zero_thresh)
+        # a multi-ton's ladder output is noise either way, and at sigma 0
+        # can round apart at a tie
+        assert np.array_equal(single[live], ref[0])
+        assert np.array_equal(uu[live][ref[0]], ref[1][ref[0]])
+        assert np.array_equal(vv[live][ref[0]], ref[2][ref[0]])
+        # the plane identity holds for a location in its own bin; the
+        # engine drops a singleton at any other
+        own = (ref[1] % stage.bins_x == i) & (ref[2] % stage.bins_y == j)
+        assert np.all(np.abs(vals[live] - ref[3])[own]
+                      <= 1e-12 * np.abs(ref[3][own]))
+        assert not single[np.flatnonzero(~nonzero)].any()
+        fitted += live.size
+        singles += np.count_nonzero(ref[0])
+    assert fitted > singles >= 150
+
+
+def _classify_reference(obs, dims, params, noise_var):
+    # robust_classify with the chain fit above
+    shifts = np.asarray(obs.shifts, dtype=np.int64)
+    ys = np.asarray(obs.values, dtype=np.complex128)[:, None]
+    n = len(shifts)
+    zero_thresh = peeler.observation_zero_threshold([ys])
+    nonzero = _energy_test((np.abs(ys) ** 2).sum(axis=0), n, n, noise_var,
+                           zero_thresh)
+    fit = _chain_fit_reference(ys, shifts, dims, params, noise_var, n,
+                               zero_thresh)
+    return BinClass.from_scan((nonzero,) + fit)
+
+
+def test_robust_classify_matches_the_chain_fit_bit_for_bit():
+    # a lone vector is the plane fit with one chain per plane and no
+    # ramp: the 200 vectors of the decode digest, bit for bit
+    dims = Dims(64, 64)
+    for reps in (1, 3, 5, 9):
+        params = RobustParams(chains_per_dim=1, reps=reps, noise_var=0.5)
+        shifts = design_shifts(dims, params, seed=2)
+        sarr = np.asarray(shifts, dtype=float)
+        rng = np.random.default_rng(100 + reps)
+        for _ in range(50):
+            u, v = int(rng.integers(64)), int(rng.integers(64))
+            w = np.exp(2j * np.pi * (u * sarr[:, 0] / 64
+                                     + v * sarr[:, 1] / 64))
+            noise = (rng.normal(size=len(shifts))
+                     + 1j * rng.normal(size=len(shifts))) * 0.5
+            obs = BinObservation(0, (0, 0), w + noise, shifts)
+            got = robust_classify(obs, dims, params, noise_var=0.5)
+            want = _classify_reference(obs, dims, params, 0.5)
+            assert got == want
+            assert repr(got.value) == repr(want.value)
