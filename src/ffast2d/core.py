@@ -250,8 +250,9 @@ def int_shifts(shifts) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class StageConfig:
-    """One subsampling stage: periods, bin grid and delay-chain shifts;
-    the shifts are kept as a tuple of int pairs (int_shifts)."""
+    """One subsampling stage: periods and bin grid, integers (_index, kept
+    as ints), and delay-chain shifts, kept as a tuple of int pairs
+    (int_shifts)."""
 
     sub_x: int
     sub_y: int
@@ -260,11 +261,13 @@ class StageConfig:
     shifts: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        _keep_indices(self, "sub_x", "sub_y", "bins_x", "bins_y")
         object.__setattr__(self, "shifts", int_shifts(self.shifts))
 
     @classmethod
     def from_subsampling(cls, dims: Dims, sub_x: int, sub_y: int,
                          shifts) -> "StageConfig":
+        sub_x, sub_y = _index(sub_x, "sub_x"), _index(sub_y, "sub_y")
         if sub_x < 1 or sub_y < 1 or dims.nx % sub_x or dims.ny % sub_y:
             raise PlanError(
                 "subsampling (%d, %d) does not divide dims (%d, %d)"

@@ -55,42 +55,19 @@ given, where one whole-array call costs tens of microseconds however few
 columns it gets. Larger batches take one whole-array ratio test, which
 makes the same decisions.
 
-The first pass is one batch of every bin, and two whole-array tests
-settle most of it before the scalar loop (_first_pass). A column whose
-anchor y_0 is above the zero floor, and one of whose shifted chains y_c
-differs from it in magnitude by more than twice the residual tolerance,
-cannot pass the ratio test, as |y_c - y_0 w| >= ||y_c| - |y_0|| for
-every unit root w: it is live and not a singleton, with location (0, 0)
-and value y_0. The loop takes the same shortcut on its x-shifted chain
-before it takes an angle. The other columns above the floor take the
-whole-array ratio test at half of each tolerance and twice the floor.
-Its angles and products differ from the loop's by a few roundings, far
-inside those margins, so a column it passes is one the loop calls a
-singleton at the same location, with value y_0. What is left goes
-through the loop: the zero-tons, and the candidates within a margin of a
-tolerance. The outcome is the loop's, bit for bit. On the seed-1 280x280
-k = 3821 decode the two tests settle 3,213 multi-tons and 1,642
-singletons of the 5,961 first-pass columns, and the loop gets the 1,106
-zero-tons.
-
-Criterion 6's k-order check compares plans of different shape, so the
-first pass keeps its zero-tons on the scalar loop. The 2-stage k = 200
-plan [1225, 81] has 1,306 bins, about 1,044 of them zero-tons, 194
-singletons and 68 multi-tons, and decodes in about 3 rounds and 3.6
-stage steps; the 3-stage k = 100 plan [81, 25, 49] has 155 bins (29
-zero-tons, 43 singletons, 83 multi-tons) and takes about 6 rounds and
-13.7 steps (means over the criterion's seeds). A whole-array first pass
-of every column, zero-tons too, speeds the k = 200 decode far more than
-the k = 100 one: with it, the k = 100 / k = 200 time ratio was 1.18 and
-the k-order held in 0 of 10 repeats. Settling the singletons alone moves
-that ratio the same way, and the order holds only because a stage step,
-which k = 100 pays almost four times as often, is cheaper too: its peel
-weights come from per-plane phase tables (_plane_roots), its alias check
-reuses the peels' bins, its gathers and counts are single numpy calls,
-and the loop skips the angles of a column the magnitude test rejects.
-In-process, 5 bench/korder.py runs with 10 processes each held the order
-in 473 of 500 repeats, against 468 for the code before these changes, at
-a median t(100)/t(200) of 0.748-0.756 against its 0.769-0.777.
+The first pass is one batch of every bin and takes the whole-array
+ratio test (_first_pass), except for its zero-tons, the bins whose
+anchor is at or below the zero floor, which go through the scalar loop.
+That split keeps decode time growing with k on criterion 6's plans,
+which differ in shape: the 2-stage k = 200 plan [1225, 81] has 1,306
+bins, about 1,044 of them zero-tons, and decodes in about 3.6 stage
+steps, while the 3-stage k = 100 plan [81, 25, 49] has 155 bins (29
+zero-tons) and takes about 13.7 steps. Sending the zero-tons through the
+whole-array test too speeds k = 200 far more than k = 100: in
+bench/korder.py the k-order then held in 10 of 150 repeats
+(t(100)/t(200) about 1.10) even with k = 100's 155-bin first pass kept
+whole on the scalar loop, and in 3 of 150 (about 1.19) with every batch
+on the whole-array test.
 """
 
 from __future__ import annotations
@@ -213,8 +190,8 @@ def _ratio_scan(cols: np.ndarray, dims: Dims, zero_thresh: float):
             continue
         nonzero[b] = True
         tol_residual = tol_res * mag
-        # the magnitude test of _first_pass: such a column fails the
-        # residual test below, so its angles need not be taken
+        # ||yx| - |anchor|| is a lower bound on the residual below, so
+        # such a column fails it without its angles being taken
         if abs(abs(yx) - mag) > 2 * tol_residual:
             continue
         conj = anchor.conjugate()
@@ -239,17 +216,14 @@ def _ratio_scan(cols: np.ndarray, dims: Dims, zero_thresh: float):
     return nonzero, single, uu, vv, cols[0]
 
 
-def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float,
-                      tol_angle: float = DEFAULT_TOL_ANGLE,
-                      tol_residual: float = DEFAULT_TOL_RESIDUAL):
+def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float):
     """The ratio test of _ratio_scan as whole-array numpy expressions.
 
-    At the default tolerances it makes the same decisions as the scalar
-    loop; angles and products may differ from CPython's in the last bit,
-    which moves a decision only for an estimate within one rounding of a
-    tolerance. An angle estimate lies in [-n/2, n/2], so adding n to a
-    negative one is the loop's float `% n`, and only a location rounded
-    up to n wraps to 0.
+    It makes the same decisions as the scalar loop; angles and products
+    may differ from CPython's in the last bit, which moves a decision only
+    for an estimate within one rounding of a tolerance. An angle estimate
+    lies in [-n/2, n/2], so adding n to a negative one is the loop's float
+    `% n`, and only a location rounded up to n wraps to 0.
     """
     planes = _three_planes(cols, dims)
     mags = np.abs(planes)
@@ -261,9 +235,9 @@ def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float,
     snapped = np.rint(est)
     loc = snapped.astype(np.int64)
     loc[loc == n] = 0
-    tol = tol_residual * mag
+    tol = DEFAULT_TOL_RESIDUAL * mag
     single = ((mag > zero_thresh)
-              & (np.abs(est - snapped) <= tol_angle).all(axis=0)
+              & (np.abs(est - snapped) <= DEFAULT_TOL_ANGLE).all(axis=0)
               & (np.abs(yx - anchor * unit_roots(dims.nx)[loc[0]]) <= tol)
               & (np.abs(yy - anchor * unit_roots(dims.ny)[loc[1]]) <= tol))
     loc *= single
@@ -271,37 +245,14 @@ def _ratio_scan_whole(cols: np.ndarray, dims: Dims, zero_thresh: float,
 
 
 def _first_pass(cols: np.ndarray, dims: Dims, zero_thresh: float):
-    """_ratio_scan's output, bit for bit, with most columns settled by
-    whole-array tests (see the module doc).
-
-    A column whose anchor is above the zero floor is a multi-ton when a
-    shifted chain's magnitude differs from the anchor's by more than
-    twice the residual tolerance, and a singleton when the whole-array
-    ratio test passes it at half of each tolerance and twice the floor.
-    Only the other columns go through the loop: the zero-tons, and the
-    candidates within those margins of a tolerance.
-    """
-    mags = np.abs(_three_planes(cols, dims))
-    mag = mags[0]
-    loop = mag <= zero_thresh
-    near = np.flatnonzero(
-        ~loop
-        & (np.abs(mags - mag).max(axis=0) <= 2 * DEFAULT_TOL_RESIDUAL * mag))
-    m = cols.shape[1]
-    nonzero = np.ones(m, dtype=bool)
-    single = np.zeros(m, dtype=bool)
-    uu = np.zeros(m, dtype=np.int64)
-    vv = np.zeros(m, dtype=np.int64)
-    _, sure, u, v, _ = _ratio_scan_whole(
-        cols[:, near], dims, 2 * zero_thresh, DEFAULT_TOL_ANGLE / 2,
-        DEFAULT_TOL_RESIDUAL / 2)
-    settled = near[sure]
-    single[settled], uu[settled], vv[settled] = True, u[sure], v[sure]
-    loop[near[~sure]] = True
-    rest = np.flatnonzero(loop)
-    nonzero[rest], single[rest], uu[rest], vv[rest], _ = _ratio_scan(
-        cols[:, rest], dims, zero_thresh)
-    return nonzero, single, uu, vv, cols[0]
+    """The whole-array ratio test of every column, with the zero-tons
+    (anchor at or below the zero floor) taken again by the scalar loop,
+    which decides them alike (see the module doc for why)."""
+    nonzero, single, uu, vv, vals = _ratio_scan_whole(cols, dims, zero_thresh)
+    zero = np.flatnonzero(np.abs(vals) <= zero_thresh)
+    nonzero[zero], single[zero], uu[zero], vv[zero], _ = _ratio_scan(
+        cols[:, zero], dims, zero_thresh)
+    return nonzero, single, uu, vv, vals
 
 
 def peel_stacks(stacks, plan: FfastPlan, classify, samples_touched: int,

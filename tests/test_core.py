@@ -300,20 +300,40 @@ def test_plan_json_round_trip_robust():
 
 
 def test_plan_json_round_trip_with_numpy_integers():
-    # Dims and RobustParams keep their integers as ints, so plans built
-    # from numpy integers write and read back like any other
+    # Dims, StageConfig and RobustParams keep their integers as ints, so
+    # plans built from numpy integers write and read back like any other
     plain = build_plan(Dims(np.int64(6), 6), [9, 4])
+    dims = Dims(6, 6)
+    periods = FfastPlan(dims, tuple(
+        StageConfig.from_subsampling(dims, np.int64(p), np.int32(p),
+                                     noiseless_shifts(dims))
+        for p in (3, 2)))
     params = RobustParams(chains_per_dim=np.int32(1), reps=np.int64(3),
                           seed=np.uint8(2))
     robust = build_plan(Dims(60, np.int64(60)), [16, 9, 25],
                         regime="very-sparse", mode="robust",
                         robust_params=params)
     assert type(plain.dims.nx) is int
+    assert {type(getattr(st, f)) for st in periods.stages
+            for f in ("sub_x", "sub_y", "bins_x", "bins_y")} == {int}
     assert [type(getattr(params, f)) for f in ("chains_per_dim", "reps",
                                                "seed")] == [int] * 3
-    for plan in (plain, robust):
+    for plan in (plain, periods, robust):
         assert plan_from_json(plan_to_json(plan)) == plan
     assert plan_from_json(plan_to_json(plain)).dims == Dims(6, 6)
+    assert plan_from_json(plan_to_json(periods)) == build_plan(dims, [9, 4])
+
+
+@pytest.mark.parametrize("sub", [3.0, 1.5, "3", None])
+def test_stage_periods_that_are_not_integers_are_refused(sub):
+    # read through operator.index, as Dims reads its extents: a period of
+    # 3.0 is refused with a PlanError rather than failing later in the plan
+    dims = Dims(6, 6)
+    shifts = noiseless_shifts(dims)
+    with pytest.raises(PlanError, match="sub_x is not an integer"):
+        StageConfig.from_subsampling(dims, sub, 3, shifts)
+    with pytest.raises(PlanError, match="bins_y is not an integer"):
+        StageConfig(2, 2, 3, sub, shifts)
 
 
 # a robust plan document as written while the classifier's slacks were

@@ -267,83 +267,10 @@ def test_whole_array_ratio_test_wraps_as_scalar(n):
         assert a.tobytes() == b.tobytes()
 
 
-def _first_pass_as_loop(monkeypatch, cols, dims, zero_thresh):
-    # the screened first pass must return the scalar loop's five arrays
-    # bit for bit; returns the columns it handed the loop
-    loop = peeler._ratio_scan
-    handed = []
-
-    def recording(cols, *args):
-        handed.append(cols.copy())
-        return loop(cols, *args)
-
-    monkeypatch.setattr(peeler, "_ratio_scan", recording)
-    got = peeler._first_pass(cols, dims, zero_thresh)
-    want = loop(cols, dims, zero_thresh)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
-    (cols,) = handed
-    return want, cols
-
-
-def _gap_at_screen_edge():
-    # an anchor a whose chain a + t lies exactly t = 2 tol a above it in
-    # floating point, so that the screen's gap equals its bound
-    t = 13_510_000_000 * 2.0 ** -52
-    a = t / (2 * DEFAULT_TOL_RESIDUAL)
-    assert 2 * DEFAULT_TOL_RESIDUAL * a == t and (a + t) - a == t
-    return a, a + t
-
-
-def test_first_pass_screen_edges(monkeypatch):
-    dims = Dims(12, 18)
-    zt = 1e-9
-    a, r = _gap_at_screen_edge()
-    above_floor = math.nextafter(zt, 1)
-    cols = np.array([
-        [a, math.nextafter(r, 0), a],     # gap one ulp below the bound
-        [a, r, a],                        # gap at the bound
-        [a, a, math.nextafter(r, 3)],     # one ulp above it: settled
-        [zt, 1.0, 1.0],                   # anchor at the zero floor
-        [above_floor, 1.0, 1.0],          # just above it: settled
-        [0.0, 0.0, 0.0],                  # empty
-        [1e-3, 1e6j, -1e6],               # |y_c| >> |y_0|: settled
-        [1.0, 1e-4, 1.0],                 # |y_c| << |y_0|: settled
-        0.7 * _weights(noiseless_shifts(dims), dims, 5, 11),
-    ], dtype=complex).T
-    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, zt)
-    # the singleton is settled too: the loop gets the zero-tons and the
-    # candidates that fail the half-tolerance test
-    assert handed.tobytes() == cols[:, [0, 1, 3, 5]].tobytes()
-    assert want[0].tolist() == [True] * 5 + [False] + [True] * 3
-    assert want[1].tolist() == [False] * 8 + [True]
-    assert (want[2][8], want[3][8]) == (5, 11)
-
-
-@pytest.mark.parametrize("nx,ny", [(1, 31), (31, 1)])
-def test_first_pass_screen_on_a_one_row_or_one_column_grid(monkeypatch, nx,
-                                                            ny):
-    # the anchor stands in for the missing shifted chain; its gap is 0, so
-    # only the one shifted chain can settle a column as a multi-ton, and
-    # the singleton is settled by the half-tolerance test
-    dims = Dims(nx, ny)
-    w = _weights(noiseless_shifts(dims), dims, 3 % nx, 7 % ny)
-    a, r = _gap_at_screen_edge()
-    cols = np.array([0.5 * w,            # singleton
-                     w * [1.0, 1.5],     # multi-ton: settled
-                     [a, r],             # gap at the bound
-                     [a, math.nextafter(r, 3)],   # one ulp above: settled
-                     [0.0, 0.0]], dtype=complex).T
-    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, 1e-9)
-    assert handed.tobytes() == cols[:, [2, 4]].tobytes()
-    assert want[1].tolist() == [True] + [False] * 4
-
-
 def test_first_pass_loop_sees_only_unsettled_columns(monkeypatch):
-    # on the pinned lsparse-280 seed-1 decode the screens settle all 3,213
-    # first-pass multi-tons and all 1,642 singletons; the loop gets only
-    # the 1,106 zero-tons
+    # on the pinned lsparse-280 seed-1 decode the whole-array test settles
+    # all 3,213 first-pass multi-tons and all 1,642 singletons; the loop
+    # gets only the 1,106 zero-tons
     counts = []
     loop = peeler._ratio_scan
 
@@ -362,15 +289,6 @@ def test_first_pass_loop_sees_only_unsettled_columns(monkeypatch):
     assert sum(st[KIND_SINGLETON] for st in report.bin_stats) == 1642
 
 
-def _settled_by_screen(col, dims, zero_thresh):
-    # whether _first_pass settles this candidate column as a singleton: the
-    # whole-array test passes it at half of each tolerance and twice the
-    # floor
-    return bool(peeler._ratio_scan_whole(
-        np.asarray(col, dtype=complex)[:, None], dims, 2 * zero_thresh,
-        DEFAULT_TOL_ANGLE / 2, DEFAULT_TOL_RESIDUAL / 2)[1][0])
-
-
 def _straddle(settles, inside, outside):
     # two adjacent positive floats between inside and outside, the first
     # settling and the next not, by bisection over their bit patterns
@@ -385,70 +303,72 @@ def _straddle(settles, inside, outside):
     return [float(np.int64(x).view(np.float64)) for x in (lo, hi)]
 
 
-def _residual_straddle(dims, axis):
-    # singletons at (0, 0) with value 1 whose shifted chain on `axis` is
-    # 1 + r: their residual r lies one ulp either side of half the
+def _loop_single(col, dims):
+    # whether the scalar loop calls this one column a singleton
+    cols = np.asarray(col, dtype=complex)[:, None]
+    return bool(peeler._ratio_scan(cols, dims, 1e-9)[1][0])
+
+
+def _residual_straddles(dims, chain, a):
+    # columns of anchor a whose `chain` is a real y near a(1 -+ tol), the
+    # other chains a, at location (0, 0): on either side of the anchor, a
+    # residual |y - a| one ulp inside and one ulp outside the scalar loop's
     # residual tolerance
-    def col(r):
-        c = [1.0] * len(noiseless_shifts(dims))
-        c[axis] = r
+    def col(y):
+        c = [a] * len(noiseless_shifts(dims))
+        c[chain] = y
         return c
 
-    return [col(r) for r in _straddle(
-        lambda r: _settled_by_screen(col(r), dims, 1e-9),
-        1 + 0.8 * DEFAULT_TOL_RESIDUAL / 2, 1 + 1.2 * DEFAULT_TOL_RESIDUAL / 2)]
+    return [col(y) for side in (1, -1) for y in _straddle(
+        lambda y: _loop_single(col(y), dims),
+        a * (1 + side * 0.8 * DEFAULT_TOL_RESIDUAL),
+        a * (1 + side * 1.2 * DEFAULT_TOL_RESIDUAL))]
 
 
-def test_first_pass_screen_half_tolerance_margins(monkeypatch):
-    # candidates one ulp inside each margin of the half-tolerance test are
-    # settled, those one ulp outside go to the loop, and the loop, at full
-    # tolerance, calls every one a singleton at the same location
-    dims = Dims(12, 18)
-    zt = 1e-9
-    cols = _residual_straddle(dims, 1) + _residual_straddle(dims, 2)
-    # an anchor at twice the floor, and one ulp above it
-    cols += [[a] * 3 for a in (2 * zt, math.nextafter(2 * zt, 1))]
-    cols = np.array(cols, dtype=complex).T
-    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, zt)
-    assert handed.tobytes() == cols[:, [1, 3, 4]].tobytes()
-    assert want[1].all()
-    assert not want[2].any() and not want[3].any()
-
-
-def test_first_pass_screen_angle_margins(monkeypatch):
-    # on a long axis a phase off its location by a quarter of the angle
-    # tolerance still passes the half-tolerance residual test, so the angle
-    # estimate's margin decides: one ulp inside it on either side settles
-    # the column, one ulp outside hands it to the loop
-    n, v = 360_000, 1234
-    dims = Dims(1, n)
+def _angle_straddles(dims, v):
+    # on an axis this long, a phase off location v by the angle tolerance
+    # moves the chain by less than the residual tolerance, so the angle
+    # estimate decides: one ulp inside and one ulp outside it, either side
+    n = dims.ny
 
     def phase(off):
         return 2 * math.pi * (v + off) / n
 
     cols = []
     for side in (1, -1):
-        re = math.cos(phase(side * DEFAULT_TOL_ANGLE / 2))
+        re = math.cos(phase(side * DEFAULT_TOL_ANGLE))
         cols += [[1.0, complex(re, im)] for im in _straddle(
-            lambda im: _settled_by_screen([1.0, complex(re, im)], dims, 1e-9),
-            math.sin(phase(side * 0.8 * DEFAULT_TOL_ANGLE / 2)),
-            math.sin(phase(side * 1.2 * DEFAULT_TOL_ANGLE / 2)))]
-    cols = np.array(cols, dtype=complex).T
-    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, 1e-9)
-    assert handed.tobytes() == cols[:, [1, 3]].tobytes()
-    assert want[1].all() and (want[3] == v).all()
+            lambda im: _loop_single([1.0, complex(re, im)], dims),
+            math.sin(phase(side * 0.8 * DEFAULT_TOL_ANGLE)),
+            math.sin(phase(side * 1.2 * DEFAULT_TOL_ANGLE)))]
+    return cols
 
 
-@pytest.mark.parametrize("nx,ny", [(1, 31), (31, 1)])
-def test_first_pass_screen_margin_on_a_one_row_or_one_column_grid(
-        monkeypatch, nx, ny):
-    # the one shifted chain's residual decides, one ulp either side of the
-    # margin; the anchor standing in for the other chain passes
+@pytest.mark.parametrize("nx,ny", [(12, 18), (1, 31), (31, 1), (1, 360_000)])
+def test_first_pass_decides_as_both_ratio_tests_at_the_tolerances(nx, ny):
+    # the first pass, the whole-array test and the scalar loop give the
+    # same five arrays, bit for bit, on columns one ulp either side of each
+    # full tolerance: the residual on every shifted chain at several anchor
+    # scales, the angle on a long axis, and a singleton whose value sits
+    # at the zero floor (an empty bin) and one ulp above it
     dims = Dims(nx, ny)
-    cols = np.array(_residual_straddle(dims, 1), dtype=complex).T
-    want, handed = _first_pass_as_loop(monkeypatch, cols, dims, 1e-9)
-    assert handed.tobytes() == cols[:, [1]].tobytes()
-    assert want[1].all()
+    chains = len(noiseless_shifts(dims))
+    cols = [col for chain in range(1, chains)
+            for a in (0.9, 0.5, 3e-4, 2e-8)
+            for col in _residual_straddles(dims, chain, a)]
+    if ny == 360_000:
+        cols += _angle_straddles(dims, 1234)
+    cols += [[a] * chains for a in (1e-9, math.nextafter(1e-9, 1))]
+    cols = np.array(cols, dtype=complex).T
+    want = peeler._ratio_scan(cols, dims, 1e-9)
+    # straddles alternate singleton and not, then the two floor columns
+    straddles = [True, False] * ((cols.shape[1] - 2) // 2)
+    assert want[0].tolist() == [True] * len(straddles) + [False, True]
+    assert want[1].tolist() == straddles + [False, True]
+    for scan in (peeler._first_pass, peeler._ratio_scan_whole):
+        for a, b in zip(scan(cols, dims, 1e-9), want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 def test_unit_roots_hold_cmath_exp_values():
